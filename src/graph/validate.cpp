@@ -1,6 +1,5 @@
 #include "graph/validate.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <sstream>
@@ -127,26 +126,36 @@ ValidationResult validate_bfs(uint64_t num_vertices,
       return fail("reached vertex without parent");
   }
 
-  // Rule 3: every tree edge must exist in the input.  Collect tree edges as
-  // sorted (min,max) pairs and probe a sorted copy of the input edges.
-  std::vector<std::pair<Vertex, Vertex>> input_pairs;
-  input_pairs.reserve(edges.size());
-  for (const Edge& e : edges)
-    input_pairs.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  std::sort(input_pairs.begin(), input_pairs.end());
+  // Rule 3: every tree edge must exist in the input.  One pass over the
+  // edges marks each vertex v that some edge joins to parent[v].
+  std::vector<std::atomic<bool>> has_tree_edge(num_vertices);
+  auto in_range = [&](Vertex x) {
+    return x >= 0 && uint64_t(x) < num_vertices;
+  };
+  auto mark = [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      const Edge& e = edges[i];
+      if (!in_range(e.u) || !in_range(e.v)) continue;  // rule 4 names these
+      if (parent[size_t(e.v)] == e.u)
+        has_tree_edge[size_t(e.v)].store(true, std::memory_order_relaxed);
+      if (parent[size_t(e.u)] == e.v)
+        has_tree_edge[size_t(e.u)].store(true, std::memory_order_relaxed);
+    }
+  };
+  if (threaded)
+    pool->parallel_for(0, edges.size(), mark);
+  else
+    mark(0, edges.size());
+  auto tree_edge_in_graph = [&](uint64_t v) {
+    return has_tree_edge[v].load(std::memory_order_relaxed);
+  };
   uint64_t bad_v = first_bad(num_vertices, [&](uint64_t v) {
     if (parent[v] == kNoVertex || Vertex(v) == root) return true;
-    std::pair<Vertex, Vertex> key{std::min(Vertex(v), parent[v]),
-                                  std::max(Vertex(v), parent[v])};
-    if (!std::binary_search(input_pairs.begin(), input_pairs.end(), key))
-      return false;
-    return level[v] == level[size_t(parent[v])] + 1;
+    return tree_edge_in_graph(v) && level[v] == level[size_t(parent[v])] + 1;
   });
   if (bad_v < num_vertices) {
-    // Re-derive which rule the first offender broke (serial, one vertex).
-    std::pair<Vertex, Vertex> key{std::min(Vertex(bad_v), parent[bad_v]),
-                                  std::max(Vertex(bad_v), parent[bad_v])};
-    if (!std::binary_search(input_pairs.begin(), input_pairs.end(), key)) {
+    // Re-derive which rule the first offender broke.
+    if (!tree_edge_in_graph(bad_v)) {
       std::ostringstream os;
       os << "tree edge (" << bad_v << ", " << parent[bad_v]
          << ") not in graph";

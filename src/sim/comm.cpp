@@ -2,10 +2,12 @@
 
 namespace sunbfs::sim {
 
-CommShared::CommShared(std::vector<int> ranks, const Topology* topo)
+CommShared::CommShared(std::vector<int> ranks, const Topology* topo,
+                       bool spin)
     : global_ranks(std::move(ranks)),
       topology(topo),
-      barrier(int(global_ranks.size())),
+      barrier(int(global_ranks.size()), spin),
+      inline_slots(global_ranks.size() * 2),
       ptrs(global_ranks.size(), nullptr),
       nbytes(global_ranks.size(), 0),
       sums(global_ranks.size(), 0),

@@ -26,10 +26,13 @@
 ///    tag matching, so a reordered call pairs with the wrong publication
 ///    slots.  The engines guarantee this by deriving every branch that picks
 ///    a collective from replicated or allreduced state.
-///  * **Payloads** must be trivially copyable; publication passes raw
-///    pointers through shared slots, and receivers memcpy out of them.
-///    Buffers must stay live and unmodified until the collective returns on
-///    every rank (the trailing barrier enforces this).
+///  * **Payloads** must be trivially copyable.  Fixed-size collectives
+///    (allreduce<T>, allgather<T>) copy the value into an inline shared slot
+///    and pass one barrier.  Variable-size ones (alltoallv, allgatherv,
+///    reduce_scatter_block, broadcast, allreduce_inplace) publish raw
+///    pointers to the caller's buffers, which must stay live and unmodified
+///    until the collective returns on every rank — their exit barrier
+///    enforces this.
 ///  * **Accounting.**  Every collective records into the rank's CommStats:
 ///    payload bytes (split intra/inter-supernode), modeled network seconds
 ///    from the Topology cost model (identical on every participating rank —
@@ -56,15 +59,29 @@
 /// and records a pending fault for the engines' checkpoint/rollback loop.
 namespace sunbfs::sim {
 
+/// Inline publication slot of a fixed-size collective (allreduce<T>,
+/// allgather<T>): the caller's value is copied in, so peers never read the
+/// caller's variable and no exit barrier has to keep it alive.
+struct alignas(64) InlineSlot {
+  static constexpr size_t kBytes = 64;
+  unsigned char bytes[kBytes] = {};
+  uint64_t nbytes = 0;
+  uint64_t sum = 0;  ///< checksum of the caller's original value
+};
+
 /// Shared state backing one communicator group; owned by the runtime.
 struct CommShared {
-  CommShared(std::vector<int> ranks, const Topology* topo);
+  /// `spin`: barrier waiters spin before parking (see Barrier).
+  CommShared(std::vector<int> ranks, const Topology* topo, bool spin = false);
 
   std::vector<int> global_ranks;  // participant global ranks, by index
   const Topology* topology;
   Barrier barrier;
-  // Publication slots, one per participant (pointer + byte count + checksum
-  // of the original payload).
+  // Fixed-size publication slots, double-buffered by collective parity like
+  // cpu_arrival (see Comm::arrival_base).
+  std::vector<InlineSlot> inline_slots;
+  // Variable-size publication slots, one per participant (pointer + byte
+  // count + checksum of the original payload).
   std::vector<const void*> ptrs;
   std::vector<uint64_t> nbytes;
   std::vector<uint64_t> sums;
@@ -106,34 +123,28 @@ class Comm {
   }
 
   /// Element-wise reduction of a single value across all participants;
-  /// every rank receives the result.
+  /// every rank receives the result.  One barrier: the value travels through
+  /// an inline slot (see publish_inline).
   template <typename T, typename Op>
   T allreduce(const T& value, Op op) {
-    static_assert(std::is_trivially_copyable_v<T>);
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Allreduce);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Allreduce, call, &value, sizeof(T));
-    shared_->barrier.wait();
-    CollectiveExit exit_barrier(shared_->barrier);
+    const InlineSlot* slots =
+        publish_inline(CollectiveType::Allreduce, call, value);
+    shared_->barrier.wait(/*exit=*/true);
     // Fold the verified contributions; every rank reads the same shared
     // slots and checksums, so dropped sources are dropped identically
     // everywhere and replicated decisions stay replicated.
     T acc = value;
     bool seeded = false;
     for (int j = 0; j < size(); ++j) {
-      if (!verify_source(CollectiveType::Allreduce, j, shared_->ptrs[j],
-                         shared_->nbytes[j], shared_->sums[j]))
-        continue;
-      check_source_size(CollectiveType::Allreduce, j, shared_->nbytes[j],
-                        sizeof(T));
       T v;
-      std::memcpy(&v, shared_->ptrs[j], sizeof(T));
+      if (!read_inline(CollectiveType::Allreduce, j, slots[j], v)) continue;
       acc = seeded ? op(acc, v) : v;
       seeded = true;
     }
     auto [intra, inter] = symmetric_bytes(sizeof(T));
-    exit_barrier.wait();
     record(CollectiveType::Allreduce, sizeof(T), inter,
            topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
     return acc;
@@ -157,27 +168,20 @@ class Comm {
   }
 
   /// Gather one value from each participant; result indexed by rank.
-  /// Dropped (corrupted) contributions come back value-initialized.
+  /// Dropped (corrupted) contributions come back value-initialized.  One
+  /// barrier, like allreduce.
   template <typename T>
   std::vector<T> allgather(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Allgather);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Allgather, call, &value, sizeof(T));
-    shared_->barrier.wait();
-    CollectiveExit exit_barrier(shared_->barrier);
+    const InlineSlot* slots =
+        publish_inline(CollectiveType::Allgather, call, value);
+    shared_->barrier.wait(/*exit=*/true);
     std::vector<T> out(size());
-    for (int j = 0; j < size(); ++j) {
-      if (!verify_source(CollectiveType::Allgather, j, shared_->ptrs[j],
-                         shared_->nbytes[j], shared_->sums[j]))
-        continue;
-      check_source_size(CollectiveType::Allgather, j, shared_->nbytes[j],
-                        sizeof(T));
-      std::memcpy(&out[j], shared_->ptrs[j], sizeof(T));
-    }
+    for (int j = 0; j < size(); ++j)
+      read_inline(CollectiveType::Allgather, j, slots[j], out[size_t(j)]);
     auto [intra, inter] = symmetric_bytes(sizeof(T));
-    exit_barrier.wait();
     record(CollectiveType::Allgather, sizeof(T), inter,
            topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
     return out;
@@ -265,8 +269,9 @@ class Comm {
     std::vector<T> out(block);
     // Seed from the caller's own (uncorrupted) contribution so a dropped
     // source never leaves the result unseeded.
-    std::memcpy(out.data(), contrib.data() + size_t(index_) * block,
-                block * sizeof(T));
+    if (block > 0)
+      std::memcpy(out.data(), contrib.data() + size_t(index_) * block,
+                  block * sizeof(T));
     for (int j = 0; j < size(); ++j) {
       if (j == index_) continue;
       if (!verify_source(CollectiveType::ReduceScatter, j, shared_->ptrs[j],
@@ -557,11 +562,18 @@ class Comm {
     if (nbytes == 0) return;  // nothing to corrupt
     corrupt_buf_.assign(static_cast<const unsigned char*>(ptr),
                         static_cast<const unsigned char*>(ptr) + nbytes);
+    corrupt_copy(fault, corrupt_buf_.data(), nbytes);
+    ptr = corrupt_buf_.data();
+  }
+
+  /// Corrupt the copy `buf` of a non-empty payload in place: flip one bit
+  /// or drop the trailing byte.
+  void corrupt_copy(const PayloadFault& fault, unsigned char* buf,
+                    uint64_t& nbytes) {
     if (fault.kind == FaultKind::BitFlip)
-      corrupt_buf_[nbytes / 2] ^= 0x10;
+      buf[nbytes / 2] ^= 0x10;
     else
       nbytes -= 1;  // truncate: drop the trailing byte
-    ptr = corrupt_buf_.data();
     faults_->stats.injected_corruptions += 1;
     log_debug("fault: injected ", fault_kind_name(fault.kind), " on rank ",
               my_global_rank(), ", ", collective_type_name(fault.collective),
@@ -581,6 +593,43 @@ class Comm {
     }
     shared_->ptrs[index_] = ptr;
     shared_->nbytes[index_] = bytes;
+  }
+
+  /// Copy `value` into this rank's inline slot of the current parity, with
+  /// the checksum of the original and any payload fault scheduled for this
+  /// call applied to the copy; returns the parity's slot array.
+  ///
+  /// Fixed-size collectives need a single barrier: half h of the slots is
+  /// next written at collective k+2, which a rank reaches only after every
+  /// peer passed a barrier of k+1 — by then each peer has finished reading
+  /// half h.  Variable-size collectives publish pointers to the caller's
+  /// buffers instead and keep their exit barrier.
+  template <typename T>
+  const InlineSlot* publish_inline(CollectiveType type, uint64_t call,
+                                   const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(sizeof(T) <= InlineSlot::kBytes,
+                  "fixed-size collective payload exceeds the inline slot");
+    InlineSlot* slots = shared_->inline_slots.data() + arrival_base();
+    InlineSlot& mine = slots[index_];
+    if (checksums_on()) mine.sum = checksum64(&value, sizeof(T));
+    std::memcpy(mine.bytes, &value, sizeof(T));
+    mine.nbytes = sizeof(T);
+    if (const PayloadFault* fault = pending_payload(type, call))
+      corrupt_copy(*fault, mine.bytes, mine.nbytes);
+    return slots;
+  }
+
+  /// Verify participant `src`'s inline slot and copy its value into `out`;
+  /// returns false (leaving `out` untouched) when the contribution is dropped.
+  template <typename T>
+  bool read_inline(CollectiveType type, int src, const InlineSlot& slot,
+                   T& out) {
+    if (!verify_source(type, src, slot.bytes, slot.nbytes, slot.sum))
+      return false;
+    check_source_size(type, src, slot.nbytes, sizeof(T));
+    std::memcpy(&out, slot.bytes, sizeof(T));
+    return true;
   }
 
   /// Verify participant `src`'s published payload against its checksum.
@@ -646,10 +695,11 @@ class Comm {
     return delta;
   }
 
-  /// Base slot of the current collective's arrival buffer.  Double-buffered
-  /// by parity: a rank racing into collective k+1 deposits into the other
-  /// half, and it cannot reach k+2 (which overwrites half k) before every
-  /// peer passed a barrier of k+1 — i.e. after they finished reading half k.
+  /// Base slot of the current collective's half of the arrival and inline
+  /// slot buffers.  Double-buffered by parity: a rank racing into collective
+  /// k+1 writes the other half, and it cannot reach k+2 (which overwrites
+  /// half k) before every peer passed a barrier of k+1 — i.e. after they
+  /// finished reading half k.
   size_t arrival_base() const {
     return size_t(collective_seq_ & 1) * size_t(size());
   }

@@ -75,7 +75,7 @@ bool decode_words(const WordsHeader& h, const uint8_t* end, uint64_t* out) {
   const uint8_t* p = h.body;
   if (h.codec == WireCodec::Bitmap) {
     if (uint64_t(end - p) != h.nwords * 8) return false;
-    std::memcpy(out, p, h.nwords * 8);
+    if (h.nwords > 0) std::memcpy(out, p, h.nwords * 8);
     return true;
   }
   std::memset(out, 0, h.nwords * 8);

@@ -231,7 +231,7 @@ bool decode_block(const BlockHeader& h, const uint8_t* end, T* out) {
   switch (h.codec) {
     case WireCodec::Raw: {
       if (uint64_t(end - p) != h.count * sizeof(T)) return false;
-      std::memcpy(out, p, h.count * sizeof(T));
+      if (h.count > 0) std::memcpy(out, p, h.count * sizeof(T));
       return true;
     }
     case WireCodec::Varint: {

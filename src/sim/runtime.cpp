@@ -17,21 +17,27 @@ SpmdReport run_spmd(const Topology& topology,
   SUNBFS_CHECK(nranks >= 1);
 
   // Shared collective state: one world group, one group per row and column.
+  // Barrier waiters spin before parking only when every rank thread can
+  // have a core of its own; oversubscribed, a spinner steals the core the
+  // rank it waits for needs.
+  const bool spin = nranks <= int(std::thread::hardware_concurrency());
   std::vector<int> world_ranks(nranks);
   for (int r = 0; r < nranks; ++r) world_ranks[r] = r;
-  CommShared world_shared(world_ranks, &topology);
+  CommShared world_shared(world_ranks, &topology, spin);
 
   std::vector<std::unique_ptr<CommShared>> row_shared;
   for (int r = 0; r < mesh.rows; ++r) {
     std::vector<int> ranks(mesh.cols);
     for (int c = 0; c < mesh.cols; ++c) ranks[c] = mesh.rank_of(r, c);
-    row_shared.push_back(std::make_unique<CommShared>(ranks, &topology));
+    row_shared.push_back(
+        std::make_unique<CommShared>(ranks, &topology, spin));
   }
   std::vector<std::unique_ptr<CommShared>> col_shared;
   for (int c = 0; c < mesh.cols; ++c) {
     std::vector<int> ranks(mesh.rows);
     for (int r = 0; r < mesh.rows; ++r) ranks[r] = mesh.rank_of(r, c);
-    col_shared.push_back(std::make_unique<CommShared>(ranks, &topology));
+    col_shared.push_back(
+        std::make_unique<CommShared>(ranks, &topology, spin));
   }
 
   auto abort_all = [&] {

@@ -15,9 +15,27 @@
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "support/check.hpp"
+#include "support/random.hpp"
+#include "support/thread_pool.hpp"
 
 namespace sunbfs::graph {
 namespace {
+
+/// validate_bfs serially and on a 4-worker pool: the verdict, the named
+/// violation and the counts must not depend on the thread count.
+ValidationResult validate_both(uint64_t num_vertices,
+                               std::span<const Edge> edges, Vertex root,
+                               std::span<const Vertex> parent) {
+  static ThreadPool pool(4);
+  ValidationResult serial = validate_bfs(num_vertices, edges, root, parent);
+  ValidationResult pooled =
+      validate_bfs(num_vertices, edges, root, parent, &pool);
+  EXPECT_EQ(serial.ok, pooled.ok);
+  EXPECT_EQ(serial.error, pooled.error);
+  EXPECT_EQ(serial.reached, pooled.reached);
+  EXPECT_EQ(serial.edges_in_component, pooled.edges_in_component);
+  return serial;
+}
 
 TEST(Scrambler, IsABijection) {
   for (int scale : {1, 2, 3, 5, 10}) {
@@ -142,7 +160,7 @@ TEST(Validate, AcceptsReferenceBfs) {
   auto edges = generate_rmat(cfg);
   Vertex root = edges[0].u;
   auto parent = reference_bfs(cfg.num_vertices(), edges, root);
-  auto res = validate_bfs(cfg.num_vertices(), edges, root, parent);
+  auto res = validate_both(cfg.num_vertices(), edges, root, parent);
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_GT(res.reached, 0u);
   EXPECT_GT(res.edges_in_component, 0u);
@@ -152,7 +170,7 @@ TEST(Validate, AcceptsReferenceBfs) {
 TEST(Validate, RejectsBadRootParent) {
   std::vector<Edge> edges = {{0, 1}};
   std::vector<Vertex> parent = {kNoVertex, 0};  // parent[0] should be 0
-  auto res = validate_bfs(2, edges, 0, parent);
+  auto res = validate_both(2, edges, 0, parent);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("root"), std::string::npos);
 }
@@ -160,7 +178,7 @@ TEST(Validate, RejectsBadRootParent) {
 TEST(Validate, RejectsFabricatedTreeEdge) {
   std::vector<Edge> edges = {{0, 1}, {1, 2}};
   std::vector<Vertex> parent = {0, 0, 0};  // 2's parent 0: no such edge
-  auto res = validate_bfs(3, edges, 0, parent);
+  auto res = validate_both(3, edges, 0, parent);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("not in graph"), std::string::npos);
 }
@@ -168,7 +186,7 @@ TEST(Validate, RejectsFabricatedTreeEdge) {
 TEST(Validate, RejectsNonSpanningTree) {
   std::vector<Edge> edges = {{0, 1}, {1, 2}};
   std::vector<Vertex> parent = {0, 0, kNoVertex};  // 2 reachable but missed
-  auto res = validate_bfs(3, edges, 0, parent);
+  auto res = validate_both(3, edges, 0, parent);
   EXPECT_FALSE(res.ok);
 }
 
@@ -179,26 +197,26 @@ TEST(Validate, RejectsLevelSkip) {
   // fabricate: parent[2]=0 -> not an edge.  Use cycle instead:
   std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0}};
   std::vector<Vertex> parent = {0, 2, 1};  // 1<->2 parent cycle
-  auto res = validate_bfs(3, edges, 0, parent);
+  auto res = validate_both(3, edges, 0, parent);
   EXPECT_FALSE(res.ok);
 }
 
 TEST(Validate, RejectsCrossComponentReach) {
   std::vector<Edge> edges = {{0, 1}, {2, 3}};
   std::vector<Vertex> parent = {0, 0, kNoVertex, kNoVertex};
-  auto res = validate_bfs(4, edges, 0, parent);
+  auto res = validate_both(4, edges, 0, parent);
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.reached, 2u);
   EXPECT_EQ(res.edges_in_component, 1u);
   // Claiming to reach the other component without a path must fail.
   std::vector<Vertex> bad = {0, 0, 3, 2};  // 2,3 parented to each other
-  EXPECT_FALSE(validate_bfs(4, edges, 0, bad).ok);
+  EXPECT_FALSE(validate_both(4, edges, 0, bad).ok);
 }
 
 TEST(Validate, SelfLoopsExcludedFromTeps) {
   std::vector<Edge> edges = {{0, 1}, {0, 0}, {1, 1}};
   auto parent = reference_bfs(2, edges, 0);
-  auto res = validate_bfs(2, edges, 0, parent);
+  auto res = validate_both(2, edges, 0, parent);
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.edges_in_component, 1u);
 }
@@ -233,8 +251,53 @@ TEST(Gteps, DegreeDistributionCounts) {
 TEST(Validate, RejectsWrongSizeParentArray) {
   std::vector<Edge> edges = {{0, 1}};
   std::vector<Vertex> parent = {0};
-  EXPECT_FALSE(validate_bfs(2, edges, 0, parent).ok);
-  EXPECT_FALSE(validate_bfs(2, edges, 5, std::vector<Vertex>{0, 0}).ok);
+  EXPECT_FALSE(validate_both(2, edges, 0, parent).ok);
+  EXPECT_FALSE(validate_both(2, edges, 5, std::vector<Vertex>{0, 0}).ok);
+}
+
+// Seeded tamper sweep on a lattice: rewiring one parent to a non-neighbour
+// or dropping one tree edge from the input must be named as exactly that
+// tree edge, at any thread count.
+TEST(Validate, TamperSweepOnLatticeNamesTheBrokenTreeEdge) {
+  const LatticeConfig cfg = LatticeConfig::grid(12, 17);
+  const uint64_t n = cfg.num_vertices();
+  const auto edges = generate_lattice(cfg);
+  const Vertex root = 5;
+  const auto parent = reference_bfs(n, edges, root);
+  const auto level = levels_from_parents(n, parent, root);
+  ASSERT_TRUE(validate_both(n, edges, root, parent).ok);
+  const Csr adj = Csr::from_undirected(n, edges);
+  auto tree_edge_error = [](Vertex v, Vertex p) {
+    return "tree edge (" + std::to_string(v) + ", " + std::to_string(p) +
+           ") not in graph";
+  };
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Xoshiro256StarStar rng(seed);
+    Vertex v = root;
+    while (v == root) v = Vertex(rng.next_below(n));
+    // Rewire: a new parent that is not a neighbour and sits no deeper than
+    // v, so it cannot be v's descendant and the tree stays acyclic.
+    auto nbrs = adj.neighbors(uint64_t(v));
+    Vertex w = v;
+    while (w == v || level[size_t(w)] > level[size_t(v)] ||
+           std::find(nbrs.begin(), nbrs.end(), w) != nbrs.end())
+      w = Vertex(rng.next_below(n));
+    auto rewired = parent;
+    rewired[size_t(v)] = w;
+    auto res = validate_both(n, edges, root, rewired);
+    EXPECT_FALSE(res.ok) << "seed " << seed;
+    EXPECT_EQ(res.error, tree_edge_error(v, w)) << "seed " << seed;
+    // Drop: remove v's tree edge from the input (the lattice is simple).
+    std::vector<Edge> dropped;
+    for (const Edge& e : edges)
+      if (std::minmax(e.u, e.v) != std::minmax(v, parent[size_t(v)]))
+        dropped.push_back(e);
+    ASSERT_EQ(dropped.size(), edges.size() - 1);
+    res = validate_both(n, dropped, root, parent);
+    EXPECT_FALSE(res.ok) << "seed " << seed;
+    EXPECT_EQ(res.error, tree_edge_error(v, parent[size_t(v)]))
+        << "seed " << seed;
+  }
 }
 
 TEST(Rmat, MinimalScaleOne) {
