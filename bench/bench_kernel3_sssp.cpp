@@ -5,11 +5,8 @@
 // SSSP as its second kernel.  Same pipeline as the BFS headline: generate,
 // partition 1.5D, run the search keys, validate (reference-free structural
 // rules), report harmonic-mean GTEPS.
-#include "analytics/delta_stepping.hpp"
 #include "analytics/sssp_runner.hpp"
-#include "partition/part15d.hpp"
 #include "bench/common.hpp"
-#include "support/timer.hpp"
 
 using namespace sunbfs;
 
@@ -45,41 +42,9 @@ int main(int argc, char** argv) {
               result.harmonic_gteps);
   std::printf("all runs validated: %s\n", result.all_valid ? "YES" : "NO");
 
-  // Engine comparison: Bellman-Ford-style propagation vs delta-stepping.
-  {
-    partition::VertexSpace space{cfg.graph.num_vertices(), 4};
-    sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
-      uint64_t m = cfg.graph.num_edges();
-      auto slice = graph::generate_rmat_range(
-          cfg.graph, m * uint64_t(ctx.rank) / 4,
-          m * uint64_t(ctx.rank + 1) / 4);
-      auto deg = partition::compute_local_degrees(ctx, space, slice);
-      auto part = partition::build_15d(ctx, space, slice, deg,
-                                       cfg.thresholds);
-      graph::Vertex root = result.runs[0].root;
-      ThreadCpuTimer t1;
-      analytics::sssp15d(ctx, part, root, cfg.sssp);
-      double bf = t1.seconds();
-      analytics::DeltaSteppingStats st;
-      analytics::DeltaSteppingOptions dopts;
-      dopts.weights = cfg.sssp;
-      dopts.delta = 128;
-      ThreadCpuTimer t2;
-      analytics::sssp15d_delta(ctx, part, root, dopts, &st);
-      double ds = t2.seconds();
-      if (ctx.rank == 0)
-        std::printf("\nengines from key 0: Bellman-Ford rounds %.3f ms CPU; "
-                    "delta-stepping (delta=128) %.3f ms CPU, %d buckets, "
-                    "%d light rounds\n",
-                    bf * 1e3, ds * 1e3, st.buckets_processed,
-                    st.light_rounds);
-    });
-  }
-
   bench::shape_line(
       "the partition built for BFS serves SSSP unchanged; every run passes "
-      "the reference-free distance validation; delta-stepping buckets the "
-      "relaxations exactly as the kernel-3 reference codes do");
+      "the reference-free distance validation");
   bench::report().gauge("kernel3.harmonic_gteps", result.harmonic_gteps);
   bench::report().info("kernel3.all_valid",
                        result.all_valid ? "true" : "false");

@@ -1,7 +1,6 @@
 #include "analytics/cc.hpp"
 
 #include <functional>
-#include <limits>
 #include <numeric>
 
 #include "analytics/propagate.hpp"
@@ -11,28 +10,12 @@ namespace sunbfs::analytics {
 
 using graph::Vertex;
 
-namespace {
-/// Min-label propagation expressed as a propagation program: every vertex
-/// repeatedly adopts the smallest label among itself and its neighbors.
-struct MinLabelProgram {
-  using Value = Vertex;
-  Value identity() const { return std::numeric_limits<Vertex>::max(); }
-  Value combine(Value a, Value b) const { return std::min(a, b); }
-  Value contribution(Value u_value, Vertex, Vertex) const { return u_value; }
-  bool update(Value& state, const Value& gathered) const {
-    if (gathered < state) {
-      state = gathered;
-      return true;
-    }
-    return false;
-  }
-};
-}  // namespace
-
 std::vector<Vertex> cc15d(sim::RankContext& ctx,
                           const partition::Part15d& part) {
+  PropagateOptions options;
+  options.incremental = true;
   PropagationEngine<MinLabelProgram> engine(ctx, part, MinLabelProgram{},
-                                            {.incremental = true});
+                                            options);
   engine.initialize([](Vertex v) { return v; });
   engine.run();
   return engine.owned_values();

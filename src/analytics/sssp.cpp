@@ -21,31 +21,6 @@ Dist edge_weight(Vertex u, Vertex v, uint64_t seed, Dist max_weight) {
   return 1 + h % max_weight;
 }
 
-namespace {
-/// Bellman-Ford relaxation as a propagation program: a vertex's state is
-/// its tentative distance; along edge (u, v) it contributes
-/// dist(u) + w(u, v); the gather keeps the minimum.
-struct RelaxProgram {
-  using Value = Dist;
-  uint64_t seed;
-  Dist max_weight;
-
-  Value identity() const { return kInfDist; }
-  Value combine(Value a, Value b) const { return std::min(a, b); }
-  Value contribution(Value u_value, Vertex u, Vertex v) const {
-    if (u_value >= kInfDist) return kInfDist;
-    return u_value + edge_weight(u, v, seed, max_weight);
-  }
-  bool update(Value& state, const Value& gathered) const {
-    if (gathered < state) {
-      state = gathered;
-      return true;
-    }
-    return false;
-  }
-};
-}  // namespace
-
 std::vector<Dist> sssp15d(sim::RankContext& ctx,
                           const partition::Part15d& part, Vertex root,
                           const SsspOptions& options) {
@@ -57,7 +32,9 @@ std::vector<Dist> sssp15d(sim::RankContext& ctx,
       ctx, options.recovery, [&](sim::ReplayGuard& guard) {
         PropagationEngine<RelaxProgram> engine(
             ctx, part, RelaxProgram{options.weight_seed, options.max_weight},
-            {.incremental = true});
+            {.incremental = true,
+             .encoding = options.encoding,
+             .exchange = options.exchange});
         engine.initialize(
             [&](Vertex v) { return v == root ? Dist(0) : kInfDist; });
         for (int round = 1; round <= (1 << 20); ++round) {

@@ -1,9 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "partition/part15d.hpp"
+#include "sim/encoding.hpp"
+#include "sim/exchange.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
 
@@ -15,7 +19,8 @@
 /// endpoint ids (the Graph 500 SSSP benchmark likewise attaches generated
 /// weights to the Kronecker graph).  Relaxation is chaotic Bellman-Ford over
 /// the six subgraph components per round: E/H distances are replicated and
-/// merged with the column+row min-reduction; L-to-L relaxations message.
+/// merged with the column+row min-reduction; L-to-L relaxations message
+/// through the staged exchange pools (analytics/propagate.hpp).
 namespace sunbfs::analytics {
 
 using Dist = uint64_t;
@@ -28,11 +33,41 @@ Dist edge_weight(graph::Vertex u, graph::Vertex v, uint64_t seed,
 struct SsspOptions {
   uint64_t weight_seed = 42;
   Dist max_weight = 255;
+  /// Adaptive wire encoding for the L-to-L relaxation exchange
+  /// (sim/encoding.hpp).
+  sim::EncodingOptions encoding;
+  /// Exchange plan backend for the L-to-L relaxation exchange
+  /// (sim/exchange.hpp).  Distances stay bit-identical across backends
+  /// (ctest -L differential).
+  sim::ExchangeOptions exchange;
   /// Rollback-and-replay knobs, honoured under FaultPolicy::Recover: the
   /// whole query replays from its initial state after a dropped corrupted
   /// contribution or a planned rank failure (sim/recover.hpp), with results
   /// bit-identical to a fault-free run.
   sim::RecoveryOptions recovery;
+};
+
+/// Bellman-Ford relaxation as a propagation program (analytics/propagate.hpp):
+/// a vertex's state is its tentative distance; along edge (u, v) it
+/// contributes dist(u) + w(u, v); the gather keeps the minimum.
+struct RelaxProgram {
+  using Value = Dist;
+  uint64_t seed;
+  Dist max_weight;
+
+  Value identity() const { return kInfDist; }
+  Value combine(Value a, Value b) const { return std::min(a, b); }
+  Value contribution(Value u_value, graph::Vertex u, graph::Vertex v) const {
+    if (u_value >= kInfDist) return kInfDist;
+    return u_value + edge_weight(u, v, seed, max_weight);
+  }
+  bool update(Value& state, const Value& gathered) const {
+    if (gathered < state) {
+      state = gathered;
+      return true;
+    }
+    return false;
+  }
 };
 
 /// Distances of this rank's owned vertices (kInfDist if unreachable).
@@ -69,4 +104,66 @@ SsspValidation validate_sssp(uint64_t num_vertices,
                              graph::Vertex root, std::span<const Dist> dist,
                              const SsspOptions& options = {});
 
+/// One cross-rank relaxation: candidate distance `dist` for global vertex
+/// `dst` (owned by the receiver).  Carried by the incremental SSSP repair
+/// (mutate/repair.hpp).
+struct DistMsg {
+  graph::Vertex dst;
+  Dist dist;
+};
+
 }  // namespace sunbfs::analytics
+
+namespace sunbfs::sim {
+
+/// Wire codec for relaxations: the global destination id keys the
+/// sort/bitmap; the candidate distance follows as a varint (exact
+/// measurement falls back to raw when distances are large).
+template <>
+struct WireFormat<analytics::DistMsg> {
+  static uint64_t key(const analytics::DistMsg& m) { return uint64_t(m.dst); }
+  static bool less(const analytics::DistMsg& a, const analytics::DistMsg& b) {
+    return a.dst != b.dst ? a.dst < b.dst : a.dist < b.dist;
+  }
+  static size_t rest_size(const analytics::DistMsg& m) {
+    return varint_size(uint64_t(m.dist));
+  }
+  static uint8_t* put_rest(const analytics::DistMsg& m, uint8_t* p) {
+    return put_varint(p, m.dist);
+  }
+  static const uint8_t* get_rest(const uint8_t* p, const uint8_t* end,
+                                 uint64_t key, analytics::DistMsg& m) {
+    if (key > uint64_t(INT64_MAX)) return nullptr;
+    uint64_t v = 0;
+    p = get_varint(p, end, &v);
+    if (p == nullptr) return nullptr;
+    m.dst = graph::Vertex(key);
+    m.dist = analytics::Dist(v);
+    return p;
+  }
+};
+
+/// Staged-exchange fold for relaxations: the receiver keeps the minimum
+/// candidate distance per destination, so an intermediate hop may take the
+/// min early.  Source ranks are irrelevant to the reduction.
+template <>
+struct ExchangeMergePolicy<analytics::DistMsg> {
+  static constexpr bool enabled = true;
+  static bool same(const analytics::DistMsg& a, uint32_t /*a_src_part*/,
+                   const analytics::DistMsg& b, uint32_t /*b_src_part*/) {
+    return a.dst == b.dst;
+  }
+  static void fold(analytics::DistMsg& into, uint32_t& into_src_part,
+                   const analytics::DistMsg& from, uint32_t from_src_part) {
+    // Keep the (dist, src_part) minimum so the surviving message is
+    // independent of fold order; the receiver's min over dist alone is
+    // unchanged by which src_part delivers it.
+    if (from.dist < into.dist ||
+        (from.dist == into.dist && from_src_part < into_src_part)) {
+      into.dist = from.dist;
+      into_src_part = from_src_part;
+    }
+  }
+};
+
+}  // namespace sunbfs::sim

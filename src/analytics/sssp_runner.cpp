@@ -21,7 +21,6 @@ SsspRunnerResult run_graph500_sssp(const sim::Topology& topology,
   std::vector<std::vector<double>> cpu(size_t(config.num_roots),
                                        std::vector<double>(size_t(nranks), 0));
   std::vector<std::vector<double>> comm = cpu;
-  std::vector<int> rounds(size_t(config.num_roots), 0);
   uint64_t num_eh = 0;
 
   sim::run_spmd(topology, [&](sim::RankContext& ctx) {
@@ -55,8 +54,7 @@ SsspRunnerResult run_graph500_sssp(const sim::Topology& topology,
   });
 
   result.num_eh = num_eh;
-  std::vector<graph::Edge> all_edges;
-  if (config.validate) all_edges = graph::generate_rmat(g);
+  const std::vector<graph::Edge> all_edges = graph::generate_rmat(g);
 
   result.all_valid = true;
   std::vector<graph::BfsRunSample> samples;
@@ -69,20 +67,12 @@ SsspRunnerResult run_graph500_sssp(const sim::Topology& topology,
       max_comm = std::max(max_comm, comm[size_t(i)][size_t(r)]);
     }
     run.modeled_s = max_cpu + max_comm;
-    if (config.validate) {
-      auto v = validate_sssp(g.num_vertices(), all_edges, run.root,
-                             dists[size_t(i)], config.sssp);
-      run.valid = v.ok;
-      run.error = v.error;
-      run.traversed_edges = v.edges_in_component;
-      if (!v.ok) result.all_valid = false;
-    } else {
-      run.valid = true;
-      uint64_t reached_edges = 0;
-      for (uint64_t v = 0; v < g.num_vertices(); ++v)
-        if (dists[size_t(i)][v] < kInfDist) ++reached_edges;
-      run.traversed_edges = std::max<uint64_t>(1, reached_edges * 16);
-    }
+    auto v = validate_sssp(g.num_vertices(), all_edges, run.root,
+                           dists[size_t(i)], config.sssp);
+    run.valid = v.ok;
+    run.error = v.error;
+    run.traversed_edges = v.edges_in_component;
+    if (!v.ok) result.all_valid = false;
     if (run.traversed_edges > 0 && run.modeled_s > 0)
       samples.push_back(
           graph::BfsRunSample{run.modeled_s, run.traversed_edges});

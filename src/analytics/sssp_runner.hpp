@@ -23,14 +23,12 @@ struct SsspRunnerConfig {
   SsspOptions sssp;
   int num_roots = 4;
   uint64_t root_seed = 7;
-  bool validate = true;
 };
 
 struct SsspRootRun {
   graph::Vertex root = 0;
   double modeled_s = 0;
   uint64_t traversed_edges = 0;
-  int rounds = 0;
   bool valid = false;
   std::string error;
 };

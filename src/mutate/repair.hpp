@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "analytics/delta_stepping.hpp"
 #include "analytics/sssp.hpp"
 #include "mutate/log.hpp"
 #include "partition/part1d.hpp"

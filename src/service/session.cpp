@@ -206,6 +206,10 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     mopts.threads_per_rank = config_.threads_per_rank;
     mopts.workspace = &ws;
     mopts.staging = &staging;
+    // SSSP-root queries ride the session's one wire configuration too.
+    analytics::SsspOptions sopts = config_.sssp;
+    sopts.encoding = config_.msbfs.encoding;
+    sopts.exchange = config_.msbfs.exchange;
 
     // ---- Deterministic discrete-event serving loop. ---------------------
     // Broker and workload are identical replicas on every rank; the virtual
@@ -420,8 +424,8 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
             // machinery but execute sequentially (no bit-parallel SSSP
             // engine yet).
             for (int i = 0; i < width; ++i) {
-              auto dist = analytics::sssp15d(
-                  ctx, *part15, batch[size_t(i)].root, config_.sssp);
+              auto dist = analytics::sssp15d(ctx, *part15,
+                                             batch[size_t(i)].root, sopts);
               uint64_t sum = 0;
               for (uint64_t l = 0; l < dist.size(); ++l)
                 if (dist[l] != analytics::kInfDist) sum += degrees[l];

@@ -89,6 +89,8 @@ struct ServiceConfig {
   int root_pool = 64;
   uint64_t root_seed = 7;
   MsbfsOptions msbfs;  ///< workspace/staging fields are managed per rank
+  /// Weights and recovery knobs for SSSP-root queries; the wire fields
+  /// (encoding, exchange) are taken from `msbfs`, one config per session.
   analytics::SsspOptions sssp;
   /// Deterministic compute model for SSSP-root queries (they relax each
   /// in-component edge several times; BFS uses msbfs.sim_seconds_per_edge).

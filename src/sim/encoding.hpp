@@ -40,7 +40,8 @@
 /// cover the encoded representation.
 ///
 /// Message types opt in by specializing WireFormat<T> (see bfs/messages.hpp,
-/// service/msbfs.hpp, analytics/delta_stepping.hpp):
+/// service/msbfs.hpp, analytics/sssp.hpp,
+/// analytics/propagate.hpp):
 ///
 ///   static uint64_t key(const T&);                 // sort/bitmap key
 ///   static bool less(const T&, const T&);          // total order, key-major

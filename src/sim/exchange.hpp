@@ -61,7 +61,7 @@ inline bool parse_exchange_backend(const std::string& s, ExchangeBackend* out) {
 }
 
 /// Per-engine exchange policy, threaded from runner flags into engine
-/// options (Bfs1dOptions, Bfs15dOptions, MsbfsOptions, DeltaSteppingOptions).
+/// options (Bfs1dOptions, Bfs15dOptions, MsbfsOptions, SsspOptions).
 struct ExchangeOptions {
   ExchangeBackend backend = ExchangeBackend::Direct;
 };
@@ -165,7 +165,7 @@ class ExchangePlan {
 /// collapsing messages that a receiver would reduce anyway is where the
 /// butterfly's byte win comes from.  A message type opts in by specializing
 /// ExchangeMergePolicy<T> next to its WireFormat (bfs/messages.hpp,
-/// service/msbfs.hpp, analytics/delta_stepping.hpp):
+/// service/msbfs.hpp, analytics/sssp.hpp):
 ///
 ///   static constexpr bool enabled;
 ///   static bool same(const T& a, uint32_t a_src_part,

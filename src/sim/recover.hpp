@@ -216,13 +216,13 @@ class ReplayGuard {
 };
 
 /// Whole-attempt replay for engines without per-level checkpoints (the
-/// SSSP / delta-stepping query path): a single query is short enough that
-/// the cheapest consistent checkpoint is its initial state, so the attempt
-/// is the level.  Runs `body(guard)` — one full collective pass over
-/// ctx.world — agrees on it, and commits it or discards it wholesale and
-/// replays.  Returns the first committed attempt's result; throws
-/// FaultDetected once rec.max_retries consecutive attempts were discarded.
-/// Without the Recover policy the body runs exactly once.
+/// SSSP query path): a single query is short enough that the cheapest
+/// consistent checkpoint is its initial state, so the attempt is the level.
+/// Runs `body(guard)` — one full collective pass over ctx.world — agrees on
+/// it, and commits it or discards it wholesale and replays.  Returns the
+/// first committed attempt's result; throws FaultDetected once
+/// rec.max_retries consecutive attempts were discarded.  Without the Recover
+/// policy the body runs exactly once.
 template <typename Body>
 auto run_with_replay(RankContext& ctx, const RecoveryOptions& rec,
                      Body&& body) {

@@ -5,9 +5,9 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "analytics/cc.hpp"
-#include "analytics/delta_stepping.hpp"
 #include "analytics/propagate.hpp"
 #include "analytics/pagerank.hpp"
 #include "analytics/sssp.hpp"
@@ -259,6 +259,50 @@ TEST(Propagate, NonIdempotentGatherCountsEveryArcOnce) {
   }
 }
 
+// The L→L channel is primed at construction from the partition's own arc
+// count: no round afterwards grows a staging buffer, for SSSP relaxation
+// and min-label CC, direct and staged, on a power-of-two mesh and one with
+// butterfly tail ranks.
+TEST(Propagate, StagingAllocsFlatAfterConstruction) {
+  Graph500Config cfg;
+  cfg.scale = 10;
+  cfg.seed = 53;
+  const Vertex root = graph::generate_rmat(cfg)[5].u;
+  for (MeshCase mc : {MeshCase{2, 2}, MeshCase{2, 3}}) {
+    for (sim::ExchangeBackend backend :
+         {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly}) {
+      SCOPED_TRACE(std::to_string(mc.rows) + "x" + std::to_string(mc.cols) +
+                   " " + sim::exchange_backend_name(backend));
+      const int nranks = mc.rows * mc.cols;
+      std::vector<uint64_t> growth(size_t(nranks), 0);
+      std::vector<int> rounds(size_t(nranks), 0);
+      sim::run_spmd(sim::MeshShape{mc.rows, mc.cols},
+                    [&](sim::RankContext& ctx) {
+        auto b = build(ctx, cfg, {128, 32});
+        PropagateOptions opts;
+        opts.incremental = true;
+        opts.exchange.backend = backend;
+        auto drive = [&](auto& engine) {
+          const uint64_t primed = engine.staging_allocs();
+          while (engine.step()) ++rounds[size_t(ctx.rank)];
+          growth[size_t(ctx.rank)] += engine.staging_allocs() - primed;
+        };
+        PropagationEngine<RelaxProgram> sssp(ctx, b.part,
+                                             RelaxProgram{42, 255}, opts);
+        sssp.initialize([&](Vertex v) { return v == root ? 0 : kInfDist; });
+        drive(sssp);
+        PropagationEngine<MinLabelProgram> cc(ctx, b.part, MinLabelProgram{},
+                                              opts);
+        cc.initialize([](Vertex v) { return v; });
+        drive(cc);
+      });
+      for (int r = 0; r < nranks; ++r) {
+        EXPECT_EQ(growth[size_t(r)], 0u) << "rank " << r;
+        EXPECT_GT(rounds[size_t(r)], 2) << "rank " << r;
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------- SSSP validation
 
@@ -356,85 +400,6 @@ TEST(PageRank, DampingChangesRanksButNotMass) {
   EXPECT_NEAR(sum_low, 1.0, 1e-6);   // probability mass conserved
   EXPECT_NEAR(sum_high, 1.0, 1e-6);
   EXPECT_GT(diff, 1e-3);             // damping actually matters
-}
-
-// --------------------------------------------------------- delta-stepping
-
-class DeltaSteppingTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(DeltaSteppingTest, MatchesDijkstraForAnyDelta) {
-  const uint64_t delta = GetParam();
-  Graph500Config cfg;
-  cfg.scale = 9;
-  cfg.seed = 61;
-  auto edges = graph::generate_rmat(cfg);
-  Vertex root = edges[1].u;
-  std::vector<Dist> got;
-  DeltaSteppingStats stats;
-  sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
-    auto b = build(ctx, cfg, {64, 16});
-    DeltaSteppingOptions opts;
-    opts.delta = delta;
-    DeltaSteppingStats st;
-    auto dist = sssp15d_delta(ctx, b.part, root, opts, &st);
-    auto gathered = ctx.world.allgatherv(std::span<const Dist>(dist));
-    if (ctx.rank == 0) {
-      got = std::move(gathered);
-      stats = st;
-    }
-  });
-  auto ref = reference_sssp(cfg.num_vertices(), edges, root);
-  for (uint64_t v = 0; v < cfg.num_vertices(); ++v)
-    ASSERT_EQ(got[v], ref[v]) << "vertex " << v << " delta " << delta;
-  EXPECT_GT(stats.buckets_processed, 0);
-  EXPECT_GE(stats.light_rounds, stats.buckets_processed);
-}
-
-// delta = 1 degenerates toward Dijkstra; delta >= max path weight toward
-// Bellman-Ford; both extremes and the middle must be exact.
-INSTANTIATE_TEST_SUITE_P(Deltas, DeltaSteppingTest,
-                         ::testing::Values(1, 32, 128, 1024, 1u << 20));
-
-TEST(DeltaStepping, AgreesWithPropagationEngineSssp) {
-  Graph500Config cfg;
-  cfg.scale = 10;
-  cfg.seed = 62;
-  std::vector<Dist> a, b2;
-  sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
-    auto b = build(ctx, cfg, {128, 32});
-    Vertex root = 5;
-    auto d1 = sssp15d(ctx, b.part, root);
-    auto d2 = sssp15d_delta(ctx, b.part, root);
-    auto g1 = ctx.world.allgatherv(std::span<const Dist>(d1));
-    auto g2 = ctx.world.allgatherv(std::span<const Dist>(d2));
-    if (ctx.rank == 0) {
-      a = std::move(g1);
-      b2 = std::move(g2);
-    }
-  });
-  EXPECT_EQ(a, b2);
-}
-
-TEST(DeltaStepping, BucketCountScalesInverselyWithDelta) {
-  Graph500Config cfg;
-  cfg.scale = 9;
-  cfg.seed = 63;
-  Vertex root = graph::generate_rmat_range(cfg, 1, 2)[0].u;
-  auto run_with = [&](Dist delta) {
-    DeltaSteppingStats stats;
-    sim::run_spmd(sim::MeshShape{1, 2}, [&](sim::RankContext& ctx) {
-      auto b = build(ctx, cfg, {64, 16});
-      DeltaSteppingOptions opts;
-      opts.delta = delta;
-      DeltaSteppingStats st;
-      sssp15d_delta(ctx, b.part, root, opts, &st);
-      if (ctx.rank == 0) stats = st;
-    });
-    return stats;
-  };
-  auto fine = run_with(16);
-  auto coarse = run_with(4096);
-  EXPECT_GT(fine.buckets_processed, coarse.buckets_processed);
 }
 
 }  // namespace

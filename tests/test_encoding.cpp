@@ -12,9 +12,11 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
-#include "analytics/delta_stepping.hpp"
+#include "analytics/propagate.hpp"
+#include "analytics/sssp.hpp"
 #include "bfs/messages.hpp"
 #include "bfs/runner.hpp"
 #include "obs/metrics.hpp"
@@ -75,6 +77,10 @@ auto fields(const service::MsbfsMsg& m) {
   return std::tuple(m.dst, m.src, m.mask);
 }
 auto fields(const analytics::DistMsg& m) { return std::tuple(m.dst, m.dist); }
+template <typename V>
+auto fields(const analytics::PropagateMsg<V>& m) {
+  return std::tuple(m.dst, m.value);
+}
 
 template <typename T>
 void expect_same(const std::vector<T>& want, const std::vector<T>& got,
@@ -130,6 +136,17 @@ service::MsbfsMsg make_msg(service::MsbfsMsg*, uint64_t key,
 analytics::DistMsg make_msg(analytics::DistMsg*, uint64_t key,
                             Xoshiro256StarStar& rng) {
   return {graph::Vertex(key), rng.next() >> 40};
+}
+// Unsigned values travel as varints, signed ones zigzagged (both signs
+// drawn), anything else as raw bytes.
+template <typename V>
+analytics::PropagateMsg<V> make_msg(analytics::PropagateMsg<V>*, uint64_t key,
+                                    Xoshiro256StarStar& rng) {
+  const int64_t r = int64_t(rng.next()) >> 40;
+  if constexpr (std::is_unsigned_v<V>)
+    return {graph::Vertex(key), V(uint64_t(r) >> 24)};
+  else
+    return {graph::Vertex(key), V(r) / V(std::is_integral_v<V> ? 1 : 1024)};
 }
 
 // Keys at the given density over [0, range): unique draws without
@@ -241,6 +258,14 @@ TEST(BlockCodecs, MsbfsMsgProperties) {
 }
 TEST(BlockCodecs, DistMsgProperties) {
   run_property_suite<analytics::DistMsg>(uint64_t(INT64_MAX), "DistMsg");
+}
+TEST(BlockCodecs, PropagateMsgProperties) {
+  run_property_suite<analytics::PropagateMsg<uint64_t>>(
+      uint64_t(INT64_MAX), "PropagateMsg<uint64_t>");
+  run_property_suite<analytics::PropagateMsg<int64_t>>(
+      uint64_t(INT64_MAX), "PropagateMsg<int64_t>");
+  run_property_suite<analytics::PropagateMsg<double>>(
+      uint64_t(INT64_MAX), "PropagateMsg<double>");
 }
 
 TEST(BlockCodecs, MalformedHeadersAreRejected) {

@@ -8,11 +8,12 @@
 //      communicator size (including non-power-of-two butterflies), stage
 //      counts match the construction, and the degenerate shapes collapse
 //      to direct.
-//   2. Backend bit-identity: each engine (1D, 1.5D, MS-BFS,
-//      delta-stepping) run under butterfly and 2D-CA — across encoding
-//      on/off and thread counts — returns output bit-identical to the
-//      direct-alltoallv baseline, which the suites in
-//      test_differential.cpp already pin to the serial oracles.
+//   2. Backend bit-identity: each engine (1D, 1.5D, MS-BFS, and the
+//      propagation engine's SSSP and CC) run under butterfly and 2D-CA —
+//      across encoding on/off and thread counts — returns output
+//      bit-identical to the direct-alltoallv baseline, which the suites in
+//      test_differential.cpp already pin to the serial oracles (SSSP and
+//      CC are compared to reference_sssp / reference_cc directly).
 //   3. Fault recovery through staged hops: corruption and rank failures
 //      landing inside the butterfly's intermediate alltoallvs are
 //      detected (xxhash64 block checksums per hop), rolled back and
@@ -27,7 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "analytics/delta_stepping.hpp"
+#include "analytics/cc.hpp"
+#include "analytics/propagate.hpp"
+#include "analytics/sssp.hpp"
 #include "bfs/bfs15d.hpp"
 #include "bfs/bfs1d.hpp"
 #include "bfs/messages.hpp"
@@ -334,43 +337,61 @@ TEST(BackendBitIdentityMsbfs, BatchParentsEqualDirectBaseline) {
   }
 }
 
-// Delta-stepping: min-distance relaxations merge in flight; the settled
-// distance vector is bit-identical across backends (distances are unique,
-// unlike BFS trees, so equality is the full answer).
-TEST(BackendBitIdentityDeltaStepping, DistancesEqualDirectBaseline) {
+// Propagation engine: L→L contributions travel the staged pools without
+// in-flight folding; SSSP distances and CC labels equal the serial
+// references on every mesh × backend × encoding case (both are unique
+// answers, so equality is the full check).
+TEST(BackendBitIdentityPropagation, SsspAndCcEqualReferences) {
   Graph500Config cfg;
   cfg.scale = 9;
   cfg.seed = 67;
-  const sim::MeshShape mesh{2, 2};
   auto edges = graph::generate_rmat(cfg);
   const Vertex root = edges[5].u;
+  const auto want_dist = analytics::reference_sssp(cfg.num_vertices(), edges,
+                                                   root);
+  const auto want_label = analytics::reference_cc(cfg.num_vertices(), edges);
 
-  auto run = [&](sim::ExchangeBackend backend, bool encoding) {
-    std::vector<analytics::Dist> got;
-    sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
-      partition::VertexSpace space{cfg.num_vertices(), ctx.nranks()};
-      auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
-      auto degrees = partition::compute_local_degrees(ctx, space, slice);
-      auto part = partition::build_15d(ctx, space, slice, degrees, {64, 16});
-      analytics::DeltaSteppingOptions opts;
-      opts.encoding.enabled = encoding;
-      opts.exchange.backend = backend;
-      auto dist = analytics::sssp15d_delta(ctx, part, root, opts);
-      auto gathered =
-          ctx.world.allgatherv(std::span<const analytics::Dist>(dist));
-      if (ctx.rank == 0) got = std::move(gathered);
-    });
-    return got;
-  };
-
-  const auto baseline = run(sim::ExchangeBackend::Direct, true);
-  ASSERT_EQ(baseline.size(), cfg.num_vertices());
-  for (sim::ExchangeBackend backend :
-       {sim::ExchangeBackend::Butterfly, sim::ExchangeBackend::TwoDCA}) {
-    for (bool encoding : {true, false}) {
-      SCOPED_TRACE(std::string(sim::exchange_backend_name(backend)) +
-                   ", encoding " + (encoding ? "on" : "off"));
-      ASSERT_EQ(run(backend, encoding), baseline);
+  for (const sim::MeshShape mesh : {sim::MeshShape{2, 2}, {2, 3}}) {
+    for (sim::ExchangeBackend backend :
+         {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly,
+          sim::ExchangeBackend::TwoDCA}) {
+      for (bool encoding : {true, false}) {
+        SCOPED_TRACE(std::to_string(mesh.rows) + "x" +
+                     std::to_string(mesh.cols) + " " +
+                     sim::exchange_backend_name(backend) + ", encoding " +
+                     (encoding ? "on" : "off"));
+        std::vector<analytics::Dist> dist;
+        std::vector<Vertex> label;
+        sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+          partition::VertexSpace space{cfg.num_vertices(), ctx.nranks()};
+          auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
+          auto degrees = partition::compute_local_degrees(ctx, space, slice);
+          auto part =
+              partition::build_15d(ctx, space, slice, degrees, {64, 16});
+          analytics::SsspOptions opts;
+          opts.encoding.enabled = encoding;
+          opts.exchange.backend = backend;
+          auto d = analytics::sssp15d(ctx, part, root, opts);
+          // cc15d's own engine, under the same wire options.
+          analytics::PropagationEngine<analytics::MinLabelProgram> cc(
+              ctx, part, {},
+              {.incremental = true,
+               .encoding = opts.encoding,
+               .exchange = opts.exchange});
+          cc.initialize([](Vertex v) { return v; });
+          cc.run();
+          auto gd =
+              ctx.world.allgatherv(std::span<const analytics::Dist>(d));
+          auto gl = ctx.world.allgatherv(
+              std::span<const Vertex>(cc.owned_values()));
+          if (ctx.rank == 0) {
+            dist = std::move(gd);
+            label = std::move(gl);
+          }
+        });
+        ASSERT_EQ(dist, want_dist);
+        ASSERT_EQ(label, want_label);
+      }
     }
   }
 }
@@ -381,7 +402,7 @@ TEST(BackendBitIdentityDeltaStepping, DistancesEqualDirectBaseline) {
 // own xxhash64 checksums and count against the fault plan's per-collective
 // call indices.  Corruption landing in ANY butterfly stage — and a rank
 // failure mid-search — must be detected, rolled back and replayed to the
-// bit-exact fault-free answer.
+// bit-exact fault-free answer, for bfs1d and for sssp15d.
 struct StagedFaultCase {
   sim::FaultKind kind;
   uint64_t call_index;  // which Alltoallv the corruption lands in
@@ -451,6 +472,35 @@ TEST_P(StagedFaultRecovery, RecoveredParentsEqualFaultFree) {
     EXPECT_GE(totals.recovered, 1u);
   }
   ASSERT_EQ(got, expect);
+
+  // The same plan against sssp15d: one staged L→L exchange per round, so
+  // the corruption lands in its butterfly hops instead.
+  const auto edges = graph::generate_rmat(cfg);
+  const auto want = analytics::reference_sssp(cfg.num_vertices(), edges, root);
+  std::vector<analytics::Dist> dist;
+  auto sssp_report =
+      sim::run_spmd(sim::Topology(mesh), [&](sim::RankContext& ctx) {
+        ctx.faults.armed = false;
+        auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
+        auto degrees = partition::compute_local_degrees(ctx, space, slice);
+        auto part = partition::build_15d(ctx, space, slice, degrees, {64, 16});
+        analytics::SsspOptions opts;
+        opts.encoding.enabled = c.encoding;
+        opts.exchange.backend = backend;
+        ctx.faults.armed = true;
+        auto d = analytics::sssp15d(ctx, part, root, opts);
+        ctx.faults.armed = false;
+        auto gathered =
+            ctx.world.allgatherv(std::span<const analytics::Dist>(d));
+        if (ctx.rank == 0) dist = std::move(gathered);
+      }, sopts);
+  ASSERT_TRUE(sssp_report.ok()) << sssp_report.errors.front();
+  const sim::FaultStats sssp_totals = sssp_report.fault_totals();
+  EXPECT_GE(sssp_totals.injected(), 1u);
+  if (c.kind != sim::FaultKind::Straggler) {
+    EXPECT_GE(sssp_totals.recovered, 1u);
+  }
+  ASSERT_EQ(dist, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(

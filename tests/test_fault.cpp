@@ -11,7 +11,6 @@
 #include <span>
 #include <utility>
 
-#include "analytics/delta_stepping.hpp"
 #include "analytics/sssp.hpp"
 #include "bfs/bfs15d.hpp"
 #include "bfs/bfs1d.hpp"
@@ -589,15 +588,7 @@ const EngineCase kEngineCases[] = {
        o.recovery = rec;
        analytics::sssp15d(ctx, part, contract_root(), o);
      },
-     {1, 1, 8, 4, 413584, 0.006}},
-    {"sssp15d_delta",
-     [](RankContext& ctx, const RecoveryOptions& rec) {
-       auto part = contract_part15d(ctx);
-       analytics::DeltaSteppingOptions o;
-       o.recovery = rec;
-       analytics::sssp15d_delta(ctx, part, contract_root(), o);
-     },
-     {1, 1, 4, 4, 317787, 0.002}},
+     {1, 1, 8, 4, 346996, 0.006}},
 };
 
 /// A rank failure at level 2 plus one alltoallv bit flip.

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "analytics/sssp.hpp"
 #include "bfs/runner.hpp"
 #include "bfs/workspace.hpp"
 #include "graph/rmat.hpp"
@@ -492,6 +493,61 @@ TEST(Session, DeterministicReplayClosedLoopMixed) {
     if (r.kind == QueryKind::SsspRoot) ++sssp;
   EXPECT_GT(sssp, 0u);  // the mix actually exercised the SSSP path
   expect_identical_reports(first, second);
+}
+
+// SSSP-root queries run under the session's one wire configuration.  Under
+// a mixed workload, every completed SSSP answer's traversed_edges equals the
+// degree-sum (halved) of reference_sssp's reached set, for direct and
+// butterfly; an SSSP-only workload proves the backend reaches the SSSP
+// exchange (butterfly's staged hops add alltoallv calls).
+TEST(Session, SsspAnswersMatchReferenceUnderEveryExchange) {
+  const ServiceConfig base = small_service();
+  const auto edges = graph::generate_rmat(base.graph);
+  auto alltoallv_calls = [](const ServiceReport& rep) {
+    uint64_t calls = 0;
+    for (const auto& rank : rep.spmd.per_rank)
+      calls += rank.entry(sim::CollectiveType::Alltoallv).calls;
+    return calls;
+  };
+  uint64_t sssp_only_calls[2] = {0, 0};
+  int b = 0;
+  for (sim::ExchangeBackend backend :
+       {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly}) {
+    SCOPED_TRACE(sim::exchange_backend_name(backend));
+    ServiceConfig cfg = base;
+    cfg.msbfs.exchange.backend = backend;
+    GraphSession session(sim::Topology(sim::MeshShape{2, 2}), cfg);
+    WorkloadConfig wl;
+    wl.mode = ArrivalMode::Closed;
+    wl.seed = 33;
+    wl.num_queries = 20;
+    wl.users = 4;
+    wl.think_s = 1e-4;
+    wl.sssp_fraction = 0.4;
+    ServiceReport report = session.serve(wl, BrokerConfig{});
+    ASSERT_TRUE(report.spmd.ok());
+    uint64_t checked = 0;
+    for (const auto& r : report.results) {
+      if (r.kind != QueryKind::SsspRoot || r.status != QueryStatus::Done)
+        continue;
+      const auto dist = analytics::reference_sssp(cfg.graph.num_vertices(),
+                                                  edges, r.root, cfg.sssp);
+      uint64_t degree_sum = 0;
+      for (const graph::Edge& e : edges)
+        degree_sum += uint64_t(dist[size_t(e.u)] < analytics::kInfDist) +
+                      uint64_t(dist[size_t(e.v)] < analytics::kInfDist);
+      EXPECT_EQ(r.traversed_edges, degree_sum / 2) << "query " << r.id;
+      ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+
+    wl.sssp_fraction = 1.0;
+    wl.num_queries = 4;
+    ServiceReport sssp_only = session.serve(wl, BrokerConfig{});
+    ASSERT_TRUE(sssp_only.spmd.ok());
+    sssp_only_calls[b++] = alltoallv_calls(sssp_only);
+  }
+  EXPECT_GT(sssp_only_calls[1], sssp_only_calls[0]);
 }
 
 // ---------------------------------------------------- zipfian workload
