@@ -40,6 +40,16 @@ QueryResult make_expired(const Query& q, double now_s) {
   return r;
 }
 
+QueryResult make_served(const Query& q, double start_s, double done_s) {
+  QueryResult r;
+  if (done_s > q.deadline_s)
+    r = make_expired(q, done_s);
+  else
+    fill_terminal(r, q, QueryStatus::Done, done_s, {});
+  r.start_s = start_s;
+  return r;
+}
+
 QueryResult make_failed(const Query& q, double now_s, const std::string& why) {
   QueryResult r;
   fill_terminal(r, q, QueryStatus::Failed, now_s,
@@ -89,6 +99,7 @@ bool QueryBroker::submit(const Query& q, QueryResult* rejection,
     }
   }
   if (queue_.size() >= config_.queue_capacity) {
+    ++rejects_;
     if (rejection != nullptr)
       fill_terminal(*rejection, q, QueryStatus::Rejected, q.arrival_s,
                     QueryRejected(q.id, q.arrival_s, q.deadline_s,

@@ -100,6 +100,8 @@ class QueryBroker {
 
   BreakerState breaker() const { return state_; }
   uint64_t shed_count() const { return sheds_; }
+  /// Queue-full refusals (QueryRejected), disjoint from shed_count().
+  uint64_t reject_count() const { return rejects_; }
   uint64_t breaker_transitions() const { return transitions_; }
 
   /// Earliest virtual time at which a batch must close: the head-of-kind
@@ -130,12 +132,17 @@ class QueryBroker {
   double shed_since_s_ = 0;
   uint64_t probe_counter_ = 0;
   uint64_t sheds_ = 0;
+  uint64_t rejects_ = 0;
   uint64_t transitions_ = 0;
 };
 
-/// Build the typed Expired result for `q` at virtual time `now_s` (also used
-/// by the session for queries whose batch finished past their deadline).
+/// Build the typed Expired result for `q` at virtual time `now_s`.
 QueryResult make_expired(const Query& q, double now_s);
+
+/// Build the result of a query served over [start_s, done_s] — by an engine
+/// batch or a cache hit: Done, or Expired when done_s is past its deadline.
+/// The caller fills in the answer fields.
+QueryResult make_served(const Query& q, double start_s, double done_s);
 
 /// Build the typed Failed result for `q`: its batch exhausted in-engine
 /// recovery and the retry budget / deadline rules out another attempt.

@@ -73,10 +73,6 @@ struct MutationConfig {
   /// Modeled ingest seconds charged per edge op (insert or delete) — the
   /// mutation feed is modeled, not measured (docs/DESIGN.md deviations).
   double seconds_per_op = 5e-7;
-  /// Incrementally repair the resident landmark BFS trees (src/mutate
-  /// repair_bfs) and reinstall the sketch at the new epoch, instead of
-  /// letting the next point-to-point probe trigger a full MS-BFS rebuild.
-  bool repair_sketch = true;
 };
 
 struct ServiceConfig {
