@@ -588,7 +588,7 @@ const EngineCase kEngineCases[] = {
        o.recovery = rec;
        analytics::sssp15d(ctx, part, contract_root(), o);
      },
-     {1, 1, 8, 4, 346996, 0.006}},
+     {1, 1, 8, 4, 322393, 0.006}},
 };
 
 /// A rank failure at level 2 plus one alltoallv bit flip.
