@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate kernels: PARADIS
-// in-place radix sort vs std::sort, R-MAT generation rate, CSR build rate,
-// bit-vector scans.  These are engineering benchmarks, not paper exhibits.
+// in-place radix sort vs std::sort, the wire encoder's block sort vs
+// std::sort, R-MAT generation rate, CSR build rate, bit-vector scans.  These
+// are engineering benchmarks, not paper exhibits.
 #include <benchmark/benchmark.h>
 
 #include "bench/common.hpp"
@@ -10,6 +11,8 @@
 
 #include "graph/csr.hpp"
 #include "graph/rmat.hpp"
+#include "service/msbfs.hpp"
+#include "sim/encoding.hpp"
 #include "sort/paradis.hpp"
 #include "support/bitvector.hpp"
 #include "support/random.hpp"
@@ -51,6 +54,42 @@ void BM_StdSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StdSort)->Arg(1 << 14)->Arg(1 << 18);
+
+// One MS-BFS destination block as a SCALE-16 2x2 serve sends it: 14-bit
+// receiver-local destinations skewed toward hubs (long equal-dst runs),
+// 14-bit sender-local sources, one query bit per message.
+std::vector<service::MsbfsMsg> msbfs_block(size_t n) {
+  Xoshiro256StarStar rng(11);
+  std::vector<service::MsbfsMsg> v(n);
+  for (auto& m : v) {
+    const uint64_t x = rng.next_below(1 << 14);
+    m.dst = uint32_t(x * x >> 14);
+    m.src = uint32_t(rng.next_below(1 << 14));
+    m.mask = uint64_t(1) << rng.next_below(64);
+  }
+  return v;
+}
+
+// Arg 1 selects the sort: 0 = std::sort(less), 1 = sim::sort_block (the
+// radix block sort the encoder uses; same output order).
+void BM_WireSort(benchmark::State& state) {
+  using Msg = service::MsbfsMsg;
+  const auto base = msbfs_block(size_t(state.range(0)));
+  std::vector<Msg> scratch(base.size());
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto v = base;
+    state.ResumeTiming();
+    if (state.range(1) == 0)
+      std::sort(v.begin(), v.end(), sim::WireFormat<Msg>::less);
+    else
+      sim::sort_block<Msg>(v, scratch);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetLabel(state.range(1) == 0 ? "std::sort" : "sort_block");
+}
+BENCHMARK(BM_WireSort)->ArgsProduct({{1 << 14, 1 << 18}, {0, 1}});
 
 void BM_RmatGenerate(benchmark::State& state) {
   graph::Graph500Config cfg;

@@ -99,6 +99,11 @@ struct WireFormat<analytics::PropagateMsg<Value>> {
     else
       return std::memcmp(&a.value, &b.value, sizeof(Value)) < 0;
   }
+  static uint64_t minor(const Msg& m)
+    requires std::is_unsigned_v<Value>
+  {
+    return uint64_t(m.value);
+  }
   static size_t rest_size(const Msg& m) {
     if constexpr (kVarint)
       return varint_size(to_varint(m.value));

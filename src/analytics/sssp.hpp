@@ -125,6 +125,7 @@ struct WireFormat<analytics::DistMsg> {
   static bool less(const analytics::DistMsg& a, const analytics::DistMsg& b) {
     return a.dst != b.dst ? a.dst < b.dst : a.dist < b.dist;
   }
+  static uint64_t minor(const analytics::DistMsg& m) { return m.dist; }
   static size_t rest_size(const analytics::DistMsg& m) {
     return varint_size(uint64_t(m.dist));
   }

@@ -1,5 +1,6 @@
 #include "bfs/engine.hpp"
 
+#include "bfs/workspace.hpp"
 #include "support/check.hpp"
 
 namespace sunbfs::bfs {
@@ -109,8 +110,10 @@ std::unique_ptr<TraversalEngine> make_engine(
   switch (config.kind) {
     case EngineKind::OneFiveD:
       return std::make_unique<Engine15d>(
-          partition::build_15d(ctx, space, slice, local_degrees,
-                               config.thresholds),
+          partition::build_15d(
+              ctx, space, slice, local_degrees, config.thresholds,
+              config.bfs15.workspace ? &config.bfs15.workspace->pool()
+                                     : nullptr),
           config.bfs15);
     case EngineKind::OneD:
       return std::make_unique<Engine1d>(partition::build_1d(ctx, space, slice),

@@ -78,6 +78,7 @@ struct WireFormat<bfs::CompactMsg> {
   static bool less(const bfs::CompactMsg& a, const bfs::CompactMsg& b) {
     return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
   }
+  static uint64_t minor(const bfs::CompactMsg& m) { return m.src; }
   static size_t rest_size(const bfs::CompactMsg& m) {
     return varint_size(m.src);
   }
@@ -121,6 +122,7 @@ struct WireFormat<bfs::AsyncVisitMsg> {
     if (a.depth != b.depth) return a.depth < b.depth;
     return a.parent < b.parent;
   }
+  static uint64_t minor(const bfs::AsyncVisitMsg& m) { return m.depth; }
   static size_t rest_size(const bfs::AsyncVisitMsg& m) {
     return varint_size(m.depth) + varint_size(m.parent);
   }

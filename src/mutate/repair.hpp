@@ -146,6 +146,7 @@ struct WireFormat<mutate::InvMsg> {
   static bool less(const mutate::InvMsg& a, const mutate::InvMsg& b) {
     return a.dst != b.dst ? a.dst < b.dst : a.val < b.val;
   }
+  static uint64_t minor(const mutate::InvMsg& m) { return m.val; }
   static size_t rest_size(const mutate::InvMsg& m) {
     return varint_size(m.val);
   }
@@ -190,6 +191,7 @@ struct WireFormat<mutate::RelaxMsg> {
     if (a.depth != b.depth) return a.depth < b.depth;
     return a.src < b.src;
   }
+  static uint64_t minor(const mutate::RelaxMsg& m) { return m.depth; }
   static size_t rest_size(const mutate::RelaxMsg& m) {
     return varint_size(m.depth) + varint_size(uint64_t(m.src));
   }

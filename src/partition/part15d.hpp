@@ -9,6 +9,7 @@
 #include "partition/space.hpp"
 #include "sim/runtime.hpp"
 #include "support/bitvector.hpp"
+#include "support/thread_pool.hpp"
 
 /// 3-level degree-aware 1.5D graph partitioning (§4.1).
 ///
@@ -82,10 +83,12 @@ struct Part15d {
 
 /// Build the 1.5D partition collectively.  `slice` is this rank's slice of
 /// the global undirected edge list; `local_degrees` must come from
-/// compute_local_degrees over the same slices.
+/// compute_local_degrees over the same slices.  The arc sort runs on this
+/// rank's `pool`, or on the calling thread when it is null; the partition
+/// is the same either way.
 Part15d build_15d(sim::RankContext& ctx, const VertexSpace& space,
                   std::span<const graph::Edge> slice,
                   std::span<const uint64_t> local_degrees,
-                  DegreeThresholds thresholds);
+                  DegreeThresholds thresholds, ThreadPool* pool = nullptr);
 
 }  // namespace sunbfs::partition

@@ -117,6 +117,7 @@ struct WireFormat<service::MsbfsMsg> {
     if (a.src != b.src) return a.src < b.src;
     return a.mask < b.mask;
   }
+  static uint64_t minor(const service::MsbfsMsg& m) { return m.src; }
   static size_t rest_size(const service::MsbfsMsg& m) {
     return varint_size(m.src) + varint_size(m.mask);
   }

@@ -106,7 +106,7 @@ ResidentGraph load_graph(sim::RankContext& ctx, const ServiceConfig& config,
   rg.part1 = partition::build_1d(ctx, space, slice);
   if (workload.sssp_fraction > 0)
     rg.part15 = partition::build_15d(ctx, space, slice, rg.degrees,
-                                     config.thresholds);
+                                     config.thresholds, &pool);
   rg.roots = bfs::pick_search_keys(ctx, space, rg.degrees, config.root_pool,
                                    config.root_seed ^ g.seed);
   return rg;
@@ -139,6 +139,9 @@ class ServeLoop {
     std::vector<uint64_t> traversed;  ///< degree-sum TEPS numerator (halved)
     std::vector<int> levels;
     std::vector<int64_t> distance;    ///< target hop distance, -1 unreached
+    /// Local depth rows (query-major) when the oracle or a point-to-point
+    /// batch needs them; empty otherwise.
+    std::vector<int32_t> depth;
   };
   /// Modeled network seconds and injected fault delay spent so far.
   struct Spend {
@@ -148,8 +151,7 @@ class ServeLoop {
   // The four steps.
   void broker_step();
   void run_batch();
-  void feed_cache(const std::vector<Query>& batch,
-                  std::span<const int32_t> depth, const BatchOutput& out);
+  void feed_cache(const std::vector<Query>& batch, const BatchOutput& out);
   void apply_mutations(uint64_t next_id);
 
   bool admit(const Query& q);
@@ -199,7 +201,8 @@ class ServeLoop {
   QueryBroker broker_;
   ServiceReport report_;
   double now_ = 0;
-  /// Staging-pool growths up to the end of the first executed batch.
+  /// Staging-pool growths up to the end of the first completed MS-BFS
+  /// batch (the first to reach every pool the steady state uses).
   std::optional<uint64_t> warm_allocs_;
   mutate::ApplyStats apply_total_;
   mutate::RepairStats repair_total_;
@@ -411,7 +414,6 @@ void ServeLoop::run_batch() {
   } catch (const sim::FaultDetected&) {
     // In-engine recovery exhausted on every rank together; charged below.
   }
-  if (!warm_allocs_) warm_allocs_ = allocs();
   if (!out) {
     // The doomed batch still burned virtual time: charge the slowest
     // rank's modeled network seconds plus its deterministic fault delays
@@ -442,6 +444,9 @@ void ServeLoop::run_batch() {
       }
     }
   }
+  const bool msbfs = batch.front().kind != QueryKind::SsspRoot;
+  if (config_.cache.enabled && msbfs) feed_cache(batch, *out);
+  if (!warm_allocs_ && msbfs) warm_allocs_ = allocs();
   service_hist_.push_back(out->service_s);
   now_ = start + out->service_s;
 
@@ -473,14 +478,12 @@ ServeLoop::BatchOutput ServeLoop::execute(const std::vector<Query>& batch) {
   const size_t width = batch.size();
   const QueryKind kind = batch.front().kind;
   BatchOutput out{0, std::vector<uint64_t>(width, 0),
-                  std::vector<int>(width, 0), std::vector<int64_t>(width, -1)};
+                  std::vector<int>(width, 0), std::vector<int64_t>(width, -1),
+                  {}};
   double cost = 0;
   const Spend spend0 = spend();
   (void)ctx_.faults.take_pending();  // each attempt starts clean
   ctx_.faults.armed = true;
-  // Local depth rows (query-major) when the oracle or a point-to-point
-  // batch needs them; stays empty otherwise.
-  std::vector<int32_t> depth;
   try {
     if (kind != QueryKind::SsspRoot) {
       std::vector<Vertex> roots(width);
@@ -491,7 +494,7 @@ ServeLoop::BatchOutput ServeLoop::execute(const std::vector<Query>& batch) {
       MsbfsResult r = msbfs_run(ctx_, g_.part1, roots, opts);
       cost += r.compute_model_s;
       out.levels = std::move(r.levels);
-      depth = std::move(r.depth);
+      out.depth = std::move(r.depth);
       // Degree-sum TEPS numerator per query (as in the Graph 500 runner:
       // each in-component edge contributes twice).  Point results report 0
       // traversed edges, but cached trees keep the engine-grade value so a
@@ -526,16 +529,15 @@ ServeLoop::BatchOutput ServeLoop::execute(const std::vector<Query>& batch) {
     // The target's owner fills its slot; an allreduce-max replicates it.
     for (size_t i = 0; i < width; ++i) {
       const Vertex t = batch[i].target;
-      if (space_.owner(t) == ctx_.rank)
-        out.distance[i] = int64_t(
-            depth[i * local_count_ + size_t(space_.to_local(ctx_.rank, t))]);
+      if (space_.owner(t) == ctx_.rank) {
+        const size_t l = size_t(space_.to_local(ctx_.rank, t));
+        out.distance[i] = int64_t(out.depth[i * local_count_ + l]);
+      }
     }
     ctx_.world.allreduce_inplace(
         std::span<int64_t>(out.distance),
         [](int64_t a, int64_t b) { return a > b ? a : b; });
   }
-  if (config_.cache.enabled && kind != QueryKind::SsspRoot)
-    feed_cache(batch, depth, out);
   if (kind == QueryKind::SsspRoot)
     for (uint64_t t : out.traversed)
       cost += double(t) * config_.sssp_seconds_per_edge /
@@ -575,12 +577,12 @@ void ServeLoop::retry_or_fail(const std::vector<Query>& batch) {
 
 // ---- Step 3: the cache feed. ---------------------------------------------
 // Allgather the batch's depth rows and cache each root's exact tree, leased
-// from the batch's start.  Runs on the successful path only, so cached
-// trees are always engine-grade.
+// from the batch's start.  Runs once per completed batch, after any hedge,
+// so cached trees are always engine-grade.
 void ServeLoop::feed_cache(const std::vector<Query>& batch,
-                           std::span<const int32_t> depth,
                            const BatchOutput& out) {
-  const std::vector<int32_t> rows = gather_depth_rows(depth, int(batch.size()));
+  const std::vector<int32_t> rows =
+      gather_depth_rows(out.depth, int(batch.size()));
   for (size_t i = 0; i < batch.size(); ++i) {
     oracle::CachedTree tree;
     tree.depth.assign(rows.begin() + ptrdiff_t(i * space_.total),
@@ -664,8 +666,8 @@ void ServeLoop::finish(QueryResult r) {
 
 void ServeLoop::close_report() {
   // Steady-state allocation proof: the resident pools must stop growing
-  // after the first executed batch, faults or not (the chaos suite gates
-  // the BFS-workload steady count at zero).
+  // after the first completed MS-BFS batch, faults or not (the chaos suite
+  // gates the BFS-workload steady count at zero).
   const uint64_t total = allocs();
   const uint64_t warm = warm_allocs_.value_or(total);
   report_.staging_allocs_warmup = ctx_.world.allreduce_sum(warm);

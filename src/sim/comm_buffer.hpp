@@ -24,15 +24,15 @@
 /// runner (see docs/PERF.md).
 ///
 /// When wire encoding is enabled (EncodingOptions, the default), the flat
-/// payload makes one extra hop: each destination block is sorted, measured
-/// and serialized under the cheapest codec (sim/encoding.hpp) into a pooled
-/// byte buffer, the collective moves bytes, and receivers decode back into
-/// the typed receive buffer.  Checksums, fault injection and Topology byte
-/// charging all act on the encoded bytes because that is what gets
-/// published.  Decoded blocks arrive key-sorted rather than in staging
-/// order; every engine receive path is order-insensitive (fetch-max
-/// parents, atomic bit claims — docs/PERF.md), which is what makes the
-/// re-ordering safe.
+/// payload makes one extra hop: each destination block is sorted (the radix
+/// sort_block()), measured and serialized under the cheapest codec
+/// (sim/encoding.hpp) into a pooled byte buffer, the collective moves
+/// bytes, and receivers decode back into the typed receive buffer.
+/// Checksums, fault injection and Topology byte charging all act on the
+/// encoded bytes because that is what gets published.  Decoded blocks
+/// arrive key-sorted rather than in staging order; every engine receive
+/// path is order-insensitive (fetch-max parents, atomic bit claims —
+/// docs/PERF.md), which is what makes the re-ordering safe.
 namespace sunbfs::sim {
 
 /// In-flight merge hook for staged exchange plans (sim/exchange.hpp): when
@@ -102,6 +102,9 @@ class A2aStaging {
       ++allocs_;
       src_offsets_.reserve(nparts + 1);
     }
+    // Block sorts (encoding or merging) use a block-aligned scratch region.
+    if (enc_.enabled || (ExchangeFold<T>::enabled && merge_))
+      reserve_n(scratch_, send_cap);
     if (enc_.enabled) {
       // Codec selection takes min(raw, ...) per block, so the encoded
       // payload is bounded by the raw payload plus one header per block —
@@ -123,7 +126,8 @@ class A2aStaging {
 
   /// Enable the in-flight merge pass (no-op unless ExchangeFold<T> opts in).
   /// Only ever set on staged-exchange hop pools: the direct path must ship
-  /// byte-identical traffic whether or not the type is mergeable.
+  /// byte-identical traffic whether or not the type is mergeable.  Like
+  /// set_encoding(), call before prime().
   void set_merge(bool merge) { merge_ = merge; }
 
   /// Reserve one specific lane's capacity (counted like any growth).  The
@@ -175,14 +179,18 @@ class A2aStaging {
         }
       }
     });
+    bool sorted = false;  // every block already in wire order
     if constexpr (ExchangeFold<T>::enabled) {
-      if (merge_ && total > 0) fold_blocks(pool);
+      if (merge_ && total > 0) {
+        fold_blocks(pool);
+        sorted = true;
+      }
     }
     if (!enc_.enabled) {
       comm.alltoallv_flat<T>(send_, offsets_, recv_, &src_offsets_, &allocs_);
       return recv_;
     }
-    return exchange_encoded(comm, pool);
+    return exchange_encoded(comm, pool, sorted);
   }
 
   /// Per-source delimiters into the last exchange()'s result (nparts+1).
@@ -203,20 +211,39 @@ class A2aStaging {
   }
   void reserve_bytes(std::vector<uint8_t>& v, size_t n) { reserve_n(v, n); }
 
+  /// Grow the block-sort scratch to the staged payload (grow-only; block d
+  /// sorts through its own region at offsets_[d], so lanes never share).
+  void size_scratch() {
+    const size_t n = offsets_[nparts_];
+    if (scratch_.size() >= n) return;
+    if (n > scratch_.capacity()) ++allocs_;
+    scratch_.resize(n);
+  }
+
+  /// Sort destination block `d` of the staged payload into wire order.
+  void sort_staged_block(size_t d) {
+    const size_t n = offsets_[d + 1] - offsets_[d];
+    sort_block<T>(std::span<T>(send_.data() + offsets_[d], n),
+                  std::span<T>(scratch_.data() + offsets_[d], n));
+  }
+
   /// Merge pass: sort each destination block into wire order, fold adjacent
   /// same()-group messages (the policy reproduces the receiver's reduction),
-  /// then compact the flat payload and its offsets in place.  Sorting here
-  /// means the later encoded leg re-sorts already-ordered blocks — cheap —
-  /// and the raw leg ships sorted blocks, which every receive path tolerates
-  /// (they are order-insensitive by contract).
+  /// then compact the flat payload and its offsets in place.  A fold keeps
+  /// every block in wire order (it only rewrites a survivor's non-key
+  /// fields, and survivors of different groups still differ in the fields
+  /// less() compares first), so the encoded leg does not sort again; the
+  /// raw leg ships sorted blocks, which every receive path tolerates (they
+  /// are order-insensitive by contract).
   void fold_blocks(ThreadPool& pool) {
     reserve_n(fold_counts_, nparts_);
     fold_counts_.assign(nparts_, 0);
+    size_scratch();
     pool.parallel_for(0, nparts_, [&](size_t lo, size_t hi) {
       for (size_t d = lo; d < hi; ++d) {
+        sort_staged_block(d);
         T* block = send_.data() + offsets_[d];
         const size_t n = offsets_[d + 1] - offsets_[d];
-        std::sort(block, block + n, WireFormat<T>::less);
         size_t w = 0;
         for (size_t i = 0; i < n; ++i) {
           if (w > 0 && ExchangeFold<T>::same(block[w - 1], block[i]))
@@ -241,19 +268,23 @@ class A2aStaging {
     send_.resize(out);
   }
 
-  /// Encoded leg of exchange(): sort + plan each destination block, write
-  /// the winning codec into the pooled byte buffer, move bytes, decode.
-  std::span<const T> exchange_encoded(Comm& comm, ThreadPool& pool) {
-    using WF = WireFormat<T>;
+  /// Encoded leg of exchange(): sort (unless `sorted`: fold_blocks already
+  /// did) + plan each destination block, write the winning codec into the
+  /// pooled byte buffer, move bytes, decode.
+  std::span<const T> exchange_encoded(Comm& comm, ThreadPool& pool,
+                                      bool sorted) {
     reserve_n(plans_, nparts_);
     plans_.assign(nparts_, BlockPlan{});
+    if (!sorted) size_scratch();
     pool.parallel_for(0, nparts_, [&](size_t lo, size_t hi) {
       for (size_t d = lo; d < hi; ++d) {
-        std::span<T> block(send_.data() + offsets_[d],
-                           offsets_[d + 1] - offsets_[d]);
-        const bool sorted = block.size() >= enc_.min_messages;
-        if (sorted) std::sort(block.begin(), block.end(), WF::less);
-        plans_[d] = plan_block<T>(block, sorted);
+        const size_t n = offsets_[d + 1] - offsets_[d];
+        const bool eligible = n >= enc_.min_messages;
+        std::span<const T> block(send_.data() + offsets_[d], n);
+        if (eligible && !sorted) sort_staged_block(d);
+        SUNBFS_ASSERT(!eligible || std::is_sorted(block.begin(), block.end(),
+                                                  WireFormat<T>::less));
+        plans_[d] = plan_block<T>(block, eligible);
       }
     });
     reserve_n(enc_offsets_, nparts_ + 1);
@@ -335,6 +366,7 @@ class A2aStaging {
   EncodingOptions enc_{};
   bool merge_ = false;                 // staged-hop in-flight merging
   std::vector<uint64_t> fold_counts_;  // post-merge block sizes
+  std::vector<T> scratch_;             // block-sort scratch, grow-only
   std::vector<BlockPlan> plans_;         // per-destination codec decisions
   std::vector<BlockHeader> headers_;     // per-source parsed headers
   std::vector<uint8_t> enc_send_;        // encoded flat payload

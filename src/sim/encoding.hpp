@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <span>
 
 #include "sim/comm_stats.hpp"
+#include "sort/lsd_radix.hpp"
+#include "support/check.hpp"
 
 /// Adaptive wire encoding for staged collective payloads.
 ///
@@ -49,10 +52,14 @@
 ///   static uint8_t* put_rest(const T&, uint8_t*);  // append non-key fields
 ///   static const uint8_t* get_rest(const uint8_t* p, const uint8_t* end,
 ///                                  uint64_t key, T&);  // null on error
+///   static uint64_t minor(const T&);  // optional: less()'s first tie-break
 ///
 /// less() must be a *total* order (tie-break on every field) so that sorting
 /// is deterministic under duplicate keys; receivers are already insensitive
 /// to message order (fetch-max parents, atomic bit claims — docs/PERF.md).
+/// It must also be key-major over the *unsigned* key(), and, where minor()
+/// exists, minor()-major among equal keys: sort_block() radix-sorts on
+/// (key, minor) and leaves only the remaining ties to less().
 namespace sunbfs::sim {
 
 /// Per-pool encoding policy, threaded from engine options into the staging
@@ -129,6 +136,60 @@ struct BlockHeader {
   uint64_t count = 0;
   const uint8_t* body = nullptr;
 };
+
+/// Types whose first less() tie-break is an unsigned field expose it as
+/// minor(), so hub runs of equal keys sort by radix too.
+template <typename T>
+concept HasWireMinor = requires(const T& m) {
+  { WireFormat<T>::minor(m) } -> std::same_as<uint64_t>;
+};
+
+/// Blocks shorter than this keep std::sort: below a few hundred messages
+/// the radix histograms cost more than the comparisons they replace.
+inline constexpr size_t kRadixBlockMin = 256;
+
+/// Sort one block into wire order: exactly the order of
+/// std::sort(block, WireFormat<T>::less), which is unique because less() is
+/// total.  Stable LSD passes (sort/lsd_radix.hpp) run over the key packed
+/// with minor() in the low bits when both fit 64 bits, else over the key
+/// alone; std::sort(less) then orders the runs still tied.  `scratch` holds
+/// at least block.size() elements.
+template <typename T>
+void sort_block(std::span<T> block, std::span<T> scratch) {
+  using WF = WireFormat<T>;
+  if (block.size() < kRadixBlockMin) {
+    std::sort(block.begin(), block.end(), WF::less);
+    return;
+  }
+  uint64_t keys = 0, minors = 0;  // OR of all values: their bit widths
+  for (const T& m : block) {
+    keys |= WF::key(m);
+    if constexpr (HasWireMinor<T>) minors |= WF::minor(m);
+  }
+  const int kb = std::bit_width(keys);
+  int mb = std::bit_width(minors);
+  if (kb + mb > 64) mb = 0;  // too wide to pack: the key alone
+  // mb == 64 only when every key is 0, so the shift stays below 64.
+  const int shift = mb & 63;
+  const uint64_t minor_mask = mb > 0 ? ~uint64_t(0) : 0;
+  auto packed = [shift, minor_mask](const T& m) -> uint64_t {
+    if constexpr (HasWireMinor<T>)
+      return (WF::key(m) << shift) | (WF::minor(m) & minor_mask);
+    else
+      return WF::key(m);
+  };
+  sort::lsd_radix_sort(block, scratch, packed, kb + mb);
+  for (size_t i = 0; i < block.size();) {
+    const uint64_t v = packed(block[i]);
+    size_t j = i + 1;
+    while (j < block.size() && packed(block[j]) == v) ++j;
+    if (j - i > 1)
+      std::sort(block.begin() + ptrdiff_t(i), block.begin() + ptrdiff_t(j),
+                WF::less);
+    i = j;
+  }
+  SUNBFS_ASSERT(std::is_sorted(block.begin(), block.end(), WF::less));
+}
 
 /// Measure `msgs` under all eligible codecs and return the smallest.
 /// `sorted` tells the planner whether the caller ran the key-major sort —

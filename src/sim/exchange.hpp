@@ -238,6 +238,7 @@ struct WireFormat<Routed<T>> {
     if (a.route != b.route) return a.route < b.route;
     return Inner::less(a.msg, b.msg);
   }
+  static uint64_t minor(const Routed<T>& m) { return m.route; }
   static size_t rest_size(const Routed<T>& m) {
     return varint_size(m.dst_part()) + varint_size(m.src_part()) +
            Inner::rest_size(m.msg);

@@ -34,6 +34,9 @@ namespace sunbfs::sim {
 template <typename T>
 class ExchangeChannel {
  public:
+  // Hop pools always merge, so priming reserves their block-sort scratch.
+  ExchangeChannel() { hop_.set_merge(true); }
+
   /// Wire-encoding policy for both legs.  As with A2aStaging, set before
   /// priming so encoded buffers land in the warmup reservation.
   void set_encoding(const EncodingOptions& enc) {
@@ -64,7 +67,6 @@ class ExchangeChannel {
     plan_ = &plan;
     self_ = self;
     nparts_ = nparts;
-    hop_.set_merge(true);
     hop_.begin(nparts, nthreads);
   }
 

@@ -86,10 +86,12 @@ void radix_sort_level(std::span<T> data, KeyFn key_of, int shift,
 
 /// Sort `data` in place by the 64-bit key `key_of(element)`, ascending.
 /// Uses no auxiliary array proportional to the input (in-place), and runs
-/// sub-buckets of the most significant digit in parallel on `pool`.
+/// sub-buckets of the most significant digit in parallel on `pool`.  There
+/// is no default pool: a rank thread passes its own (BfsWorkspace), since
+/// concurrent submitters to one shared pool run inline (thread_pool.hpp).
+/// The result does not depend on the pool's size.
 template <typename T, typename KeyFn>
-void paradis_sort(std::span<T> data, KeyFn key_of,
-                  sunbfs::ThreadPool& pool = sunbfs::ThreadPool::global()) {
+void paradis_sort(std::span<T> data, KeyFn key_of, sunbfs::ThreadPool& pool) {
   if (data.size() <= 1) return;
   obs::Span span("sort", "paradis_sort", int64_t(data.size()));
   // Find the highest bit actually used to skip empty leading digits.
@@ -101,9 +103,11 @@ void paradis_sort(std::span<T> data, KeyFn key_of,
   detail::radix_sort_level<T, KeyFn>(data, key_of, shift, pool, true);
 }
 
-/// Convenience overload for plain integer spans.
+/// Convenience overload for plain integer spans, for host threads (no rank
+/// thread running): sorts on the process-wide pool.
 inline void paradis_sort_u64(std::span<uint64_t> data) {
-  paradis_sort(data, [](uint64_t v) { return v; });
+  paradis_sort(
+      data, [](uint64_t v) { return v; }, sunbfs::ThreadPool::global());
 }
 
 }  // namespace sunbfs::sort

@@ -20,19 +20,21 @@
 /// elements all ≤ rank i+1's), roughly balanced for non-adversarial inputs.
 namespace sunbfs::sort {
 
-/// Globally sort the per-rank `local` arrays by `key_of` (64-bit key).
-/// Returns this rank's slice of the sorted global sequence.
+/// Globally sort the per-rank `local` arrays by `key_of` (64-bit key); the
+/// local sorts run on this rank's `pool`.  Returns this rank's slice of the
+/// sorted global sequence.
 template <typename T, typename KeyFn>
-std::vector<T> psrs_sort(sim::Comm& comm, std::vector<T> local, KeyFn key_of) {
+std::vector<T> psrs_sort(sim::Comm& comm, std::vector<T> local, KeyFn key_of,
+                         ThreadPool& pool) {
   static_assert(std::is_trivially_copyable_v<T>);
   obs::Span span("sort", "psrs_sort", int64_t(local.size()));
   const int p = comm.size();
   if (p == 1) {
-    paradis_sort(std::span<T>(local), key_of);
+    paradis_sort(std::span<T>(local), key_of, pool);
     return local;
   }
 
-  paradis_sort(std::span<T>(local), key_of);
+  paradis_sort(std::span<T>(local), key_of, pool);
 
   // Regular sampling: p samples per rank at positions (i+1)*n/(p+1).
   std::vector<uint64_t> samples;
@@ -82,7 +84,7 @@ std::vector<T> psrs_sort(sim::Comm& comm, std::vector<T> local, KeyFn key_of) {
   to.clear();
   to.shrink_to_fit();
   // The p runs are each sorted; a final sort is O(n log p)-ish via PARADIS.
-  paradis_sort(std::span<T>(received), key_of);
+  paradis_sort(std::span<T>(received), key_of, pool);
   return received;
 }
 

@@ -1,6 +1,7 @@
 // Adaptive wire-encoding tests (ctest -L encoding): property-based codec
 // round-trips for every WireFormat message type and the frontier word
-// streams, adversarial truncation/corruption rejection, the A2aStaging
+// streams, adversarial truncation/corruption rejection, the radix block
+// sort against std::sort for every WireFormat type, the A2aStaging
 // encoded exchange against the raw exchange inside a live SPMD session, and
 // the CommStats encoding histogram plumbing.  The fault-injection case at
 // the bottom (also under -L faults) pins the checksums-cover-encoded-bytes
@@ -19,6 +20,7 @@
 #include "analytics/sssp.hpp"
 #include "bfs/messages.hpp"
 #include "bfs/runner.hpp"
+#include "mutate/repair.hpp"
 #include "obs/metrics.hpp"
 #include "service/msbfs.hpp"
 #include "sim/comm_buffer.hpp"
@@ -315,6 +317,172 @@ TEST(BlockCodecs, BitmapPopcountMismatchIsRejected) {
   EXPECT_FALSE(decode_buf<bfs::CompactMsg>(buf, &back));
 }
 
+// ------------------------------------------------------------- block sort
+
+// Message with the given key, first tie-break `tie` and remaining fields
+// from `r`.  Built field by field into zeroed storage, so padding bytes are
+// zero and whole-struct byte comparison is meaningful.
+template <typename T>
+T zeroed() {
+  T m;
+  std::memset(static_cast<void*>(&m), 0, sizeof m);
+  return m;
+}
+void set(service::MsbfsMsg& m, uint64_t key, uint64_t tie, uint64_t r) {
+  m.dst = uint32_t(key);
+  m.src = uint32_t(tie);
+  m.mask = r;
+}
+void set(bfs::VisitMsg& m, uint64_t key, uint64_t tie, uint64_t) {
+  m.dst = graph::Vertex(key);
+  m.parent = graph::Vertex(tie);  // signed: no minor(), both signs
+}
+void set(bfs::CompactMsg& m, uint64_t key, uint64_t tie, uint64_t) {
+  m.dst = uint32_t(key);
+  m.src = uint32_t(tie);
+}
+void set(bfs::AsyncVisitMsg& m, uint64_t key, uint64_t tie, uint64_t r) {
+  m.dst = uint32_t(key);
+  m.depth = uint32_t(tie);
+  m.parent = uint32_t(r);
+}
+void set(analytics::DistMsg& m, uint64_t key, uint64_t tie, uint64_t) {
+  m.dst = graph::Vertex(key);
+  m.dist = tie;
+}
+void set(mutate::InvMsg& m, uint64_t key, uint64_t tie, uint64_t) {
+  m.dst = graph::Vertex(key);
+  m.val = tie;
+}
+void set(mutate::RelaxMsg& m, uint64_t key, uint64_t tie, uint64_t r) {
+  m.dst = graph::Vertex(key);
+  m.depth = uint32_t(tie);
+  m.src = graph::Vertex(r >> 1);
+}
+template <typename V>
+void set(analytics::PropagateMsg<V>& m, uint64_t key, uint64_t tie, uint64_t) {
+  m.dst = graph::Vertex(key);
+  if constexpr (std::is_floating_point_v<V>)
+    m.value = V(int64_t(tie)) / 1024;
+  else
+    m.value = V(tie);
+}
+template <typename T>
+void set(Routed<T>& m, uint64_t key, uint64_t tie, uint64_t r) {
+  m.route = tie;
+  set(m.msg, key, r & 0xffff, r >> 16);
+}
+
+// Largest key a type's wire format carries.
+template <typename T>
+constexpr uint64_t max_key() {
+  if constexpr (requires { T::route; })
+    return max_key<decltype(T::msg)>();
+  else if constexpr (sizeof(T::dst) == 4)
+    return UINT32_MAX;
+  else
+    return uint64_t(INT64_MAX);
+}
+
+template <typename T, typename KeyFn, typename TieFn>
+std::vector<T> draw(size_t n, uint64_t seed, KeyFn key, TieFn tie) {
+  Xoshiro256StarStar rng(seed);
+  std::vector<T> v(n, zeroed<T>());
+  for (T& m : v) {
+    const uint64_t k = std::min(key(rng), max_key<T>());
+    const uint64_t t = tie(rng);
+    set(m, k, t, rng.next());
+  }
+  return v;
+}
+
+// sort_block must reproduce std::sort(less) byte for byte, and so must the
+// block the planner's codec writes from it.
+template <typename T>
+void expect_block_sort_matches(std::vector<T> msgs, const std::string& what) {
+  std::vector<T> want = msgs;
+  std::sort(want.begin(), want.end(), WireFormat<T>::less);
+  std::vector<T> scratch(msgs.size());
+  sort_block<T>(msgs, scratch);
+  ASSERT_EQ(std::memcmp(msgs.data(), want.data(), msgs.size() * sizeof(T)), 0)
+      << what;
+  const BlockPlan plan = plan_block<T>(want, true);
+  std::vector<uint8_t> a(plan.bytes), b(plan.bytes);
+  write_block<T>(want, plan.codec, a.data());
+  write_block<T>(msgs, plan.codec, b.data());
+  EXPECT_EQ(a, b) << what;
+}
+
+template <typename T>
+void run_block_sort_suite(const std::string& name) {
+  auto bits = [](int b) {
+    return [b](Xoshiro256StarStar& rng) {
+      return b == 64 ? rng.next() : rng.next() & ((uint64_t(1) << b) - 1);
+    };
+  };
+  auto constant = [](uint64_t c) {
+    return [c](Xoshiro256StarStar&) { return c; };
+  };
+  // Around the std::sort cutoff and well above it.
+  for (size_t n : {kRadixBlockMin - 1, kRadixBlockMin, size_t(1) << 16})
+    expect_block_sort_matches(draw<T>(n, n, bits(14), bits(14)),
+                              name + " n=" + std::to_string(n));
+  // All keys equal: one hub run, ordered by the tie-breaks alone.
+  expect_block_sort_matches(draw<T>(4096, 1, constant(77), bits(12)),
+                            name + " equal keys");
+  // Many exact (key, tie) duplicates: runs the fix-up must order by the
+  // remaining fields.
+  expect_block_sort_matches(draw<T>(4096, 2, bits(4), bits(2)),
+                            name + " duplicates");
+  // Max key 0, with narrow and with full-width tie-breaks.
+  expect_block_sort_matches(draw<T>(2048, 3, constant(0), bits(10)),
+                            name + " zero keys");
+  expect_block_sort_matches(draw<T>(2048, 4, constant(0), bits(64)),
+                            name + " zero keys, wide ties");
+  // Keys near 2^32 (the top of 32-bit key ranges): 32-bit ties still pack.
+  auto near32 = [](Xoshiro256StarStar& rng) {
+    return (uint64_t(1) << 32) - 1024 + rng.next_below(2048);
+  };
+  expect_block_sort_matches(draw<T>(4096, 5, near32, bits(32)),
+                            name + " keys near 2^32");
+  // A tie-break too wide to pack beside the key: key-only radix + fix-up.
+  expect_block_sort_matches(draw<T>(4096, 6, bits(20), bits(64)),
+                            name + " wide ties");
+}
+
+TEST(BlockSort, MatchesStdSortForEveryWireFormat) {
+  run_block_sort_suite<service::MsbfsMsg>("MsbfsMsg");
+  run_block_sort_suite<bfs::VisitMsg>("VisitMsg");
+  run_block_sort_suite<bfs::CompactMsg>("CompactMsg");
+  run_block_sort_suite<bfs::AsyncVisitMsg>("AsyncVisitMsg");
+  run_block_sort_suite<analytics::DistMsg>("DistMsg");
+  run_block_sort_suite<mutate::InvMsg>("InvMsg");
+  run_block_sort_suite<mutate::RelaxMsg>("RelaxMsg");
+  run_block_sort_suite<analytics::PropagateMsg<uint64_t>>(
+      "PropagateMsg<uint64_t>");
+  run_block_sort_suite<analytics::PropagateMsg<int64_t>>(
+      "PropagateMsg<int64_t>");
+  run_block_sort_suite<analytics::PropagateMsg<double>>("PropagateMsg<double>");
+  run_block_sort_suite<Routed<service::MsbfsMsg>>("Routed<MsbfsMsg>");
+  run_block_sort_suite<Routed<bfs::CompactMsg>>("Routed<CompactMsg>");
+  run_block_sort_suite<Routed<analytics::DistMsg>>("Routed<DistMsg>");
+}
+
+TEST(BlockSort, MinorHookCoversUnsignedTieBreaks) {
+  static_assert(HasWireMinor<service::MsbfsMsg>);
+  static_assert(HasWireMinor<bfs::CompactMsg>);
+  static_assert(HasWireMinor<bfs::AsyncVisitMsg>);
+  static_assert(HasWireMinor<analytics::DistMsg>);
+  static_assert(HasWireMinor<mutate::InvMsg>);
+  static_assert(HasWireMinor<mutate::RelaxMsg>);
+  static_assert(HasWireMinor<analytics::PropagateMsg<uint64_t>>);
+  static_assert(HasWireMinor<Routed<bfs::VisitMsg>>);
+  // Signed or non-integral first tie-breaks sort on the key alone.
+  static_assert(!HasWireMinor<bfs::VisitMsg>);
+  static_assert(!HasWireMinor<analytics::PropagateMsg<int64_t>>);
+  static_assert(!HasWireMinor<analytics::PropagateMsg<double>>);
+}
+
 // --------------------------------------------------- frontier word streams
 
 std::vector<uint64_t> random_words(uint64_t seed, size_t nwords,
@@ -456,6 +624,35 @@ TEST(StagingEncoding, EncodedExchangeMatchesRawAndStopsAllocating) {
   });
   EXPECT_EQ(mismatches, 0u);
   EXPECT_EQ(steady_allocs, 0u);
+}
+
+// prime() reserves the block-sort scratch with the other encoded buffers:
+// an encoded exchange of the largest block it was primed for (one
+// destination takes the whole payload) must not grow anything.
+TEST(StagingEncoding, PrimedScratchCoversTheLargestBlock) {
+  const sim::MeshShape mesh{1, 2};
+  const size_t n = size_t(1) << 15;
+  std::vector<uint64_t> grown(size_t(mesh.ranks()), 1);
+  run_spmd(mesh, [&](RankContext& ctx) {
+    ThreadPool pool(2);
+    A2aStaging<service::MsbfsMsg> staging;
+    staging.set_encoding(EncodingOptions{});
+    const size_t nparts = size_t(ctx.nranks());
+    staging.prime(nparts, pool.size(), n, n, n);
+    const uint64_t primed = staging.allocs();
+    staging.begin(nparts, pool.size());
+    Xoshiro256StarStar rng(uint64_t(ctx.rank) + 1);
+    const size_t dst = size_t(ctx.rank + 1) % nparts;
+    for (size_t i = 0; i < n; ++i)
+      staging.push(0, dst,
+                   service::MsbfsMsg{uint32_t(rng.next_below(1 << 14)),
+                                     uint32_t(rng.next_below(1 << 14)),
+                                     uint64_t(1) << rng.next_below(64)});
+    auto got = staging.exchange(ctx.world, pool);
+    EXPECT_EQ(got.size(), n);
+    grown[size_t(ctx.rank)] = staging.allocs() - primed;
+  });
+  for (uint64_t g : grown) EXPECT_EQ(g, 0u);
 }
 
 // ------------------------------------------------- CommStats histograms

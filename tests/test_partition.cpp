@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "bfs/bfs15d.hpp"
+#include "bfs/workspace.hpp"
 #include "graph/rmat.hpp"
 #include "graph/csr.hpp"
 #include "partition/balance.hpp"
@@ -372,6 +374,45 @@ TEST(Part15d, H2lMirrorsAgreeArcForArc) {
     EXPECT_EQ(part.row_l_offsets.back(), total);
     EXPECT_EQ(part.h2l_by_l.num_rows(), total);
   });
+}
+
+// The arc sort (PARADIS, unstable) runs on the rank's own pool; CSR
+// neighbour order is its equal-key order, so every subgraph — and the BFS
+// parents built on them — must be bit-identical at any pool size.
+TEST(Part15d, ArcSortPoolSizeLeavesPartitionAndParentsIdentical) {
+  Graph500Config cfg;
+  cfg.scale = 12;
+  cfg.seed = 3;
+  sim::MeshShape mesh{2, 2};
+  VertexSpace space{cfg.num_vertices(), mesh.ranks()};
+  const Vertex root = slice_of(cfg, 0, 1).front().u;
+  // Per rank: every CSR array of the partition, then the parent slice.
+  using Dump = std::vector<std::vector<int64_t>>;
+  auto build = [&](size_t threads) {
+    std::vector<Dump> dumps(size_t(mesh.ranks()));
+    sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+      bfs::BfsWorkspace ws(std::max<size_t>(threads, 1));
+      auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
+      auto deg = compute_local_degrees(ctx, space, slice);
+      auto part = build_15d(ctx, space, slice, deg, {128, 32},
+                            threads == 0 ? nullptr : &ws.pool());
+      Dump& d = dumps[size_t(ctx.rank)];
+      for (const graph::Csr* c :
+           {&part.eh2eh, &part.eh2eh_rev, &part.e2l, &part.l2e, &part.h2l,
+            &part.h2l_by_l, &part.l2h, &part.l2l}) {
+        d.emplace_back(c->offsets().begin(), c->offsets().end());
+        d.emplace_back(c->values().begin(), c->values().end());
+      }
+      bfs::Bfs15dOptions o;
+      o.workspace = &ws;
+      const auto res = bfs::bfs15d_run(ctx, part, root, o);
+      d.emplace_back(res.parent.begin(), res.parent.end());
+    });
+    return dumps;
+  };
+  const std::vector<Dump> serial = build(0);  // null pool: calling thread
+  for (size_t threads : {1, 2, 4})
+    EXPECT_EQ(build(threads), serial) << threads << " threads per rank";
 }
 
 TEST(Subgraph, NamesAreStable) {

@@ -168,7 +168,8 @@ TEST_P(SortFuzz, ParadisSortsArbitraryDistributions) {
   }
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  sort::paradis_sort(std::span(v), [](uint64_t x) { return x; });
+  sort::paradis_sort(std::span(v), [](uint64_t x) { return x; },
+                     ThreadPool::global());
   EXPECT_EQ(v, expected);
 }
 

@@ -646,7 +646,7 @@ TEST(Session, GoldenReportCacheAndMutationsOnZipfianMix) {
   EXPECT_EQ(golden_line(report),
             "sub=48 acc=22 rej=0 shed=0 done=48 expq=0 explate=0 "
             "failed=0 retried=0 batches=6 fbatches=0 hedged=0 breaker=0 "
-            "warm=280 steady=0 | cache 48/26/22/14/5/18/8 | mutate "
+            "warm=296 steady=0 | cache 48/26/22/14/5/18/8 | mutate "
             "4/4/32/32/4/4/15/129/104/4 | occ=0x1.d555555555555p+1 "
             "p50=0x1.0a15ae70df14p-13 p99=0x1.4e62e9fb200d4p-8 "
             "makespan=0x1.a45bddb3bc26p-6 | n=48 hash=6719a965c3316973");
@@ -677,7 +677,7 @@ TEST(Session, GoldenReportFaultsShedHedgeRetry) {
   EXPECT_EQ(golden_line(report),
             "sub=64 acc=29 rej=5 shed=32 done=16 expq=7 explate=4 "
             "failed=0 retried=8 batches=7 fbatches=2 hedged=1 breaker=1 "
-            "warm=76 steady=24 | cache 0/0/0/0/0/0/0 | mutate "
+            "warm=104 steady=0 | cache 0/0/0/0/0/0/0 | mutate "
             "0/0/0/0/0/0/0/0/0/0 | occ=0x1p+2 p50=0x1.92c1deb3c7514p-8 "
             "p99=0x1.d7809d6cf07b2p-8 makespan=0x1.9101eb4df3c9cp-7 | "
             "n=64 hash=befbdd95dc2423fe");
@@ -698,7 +698,7 @@ TEST(Session, GoldenReportSsspRootMix) {
   EXPECT_EQ(golden_line(report),
             "sub=24 acc=24 rej=0 shed=0 done=24 expq=0 explate=0 "
             "failed=0 retried=0 batches=14 fbatches=0 hedged=0 "
-            "breaker=0 warm=76 steady=24 | cache 0/0/0/0/0/0/0 | mutate "
+            "breaker=0 warm=104 steady=0 | cache 0/0/0/0/0/0/0 | mutate "
             "0/0/0/0/0/0/0/0/0/0 | occ=0x1.b6db6db6db6dbp+0 "
             "p50=0x1.56d1509dafdc6p-8 p99=0x1.7303ad8888abp-8 "
             "makespan=0x1.07333a1eb2ee5p-5 | n=24 hash=80d3c95e30dc7b19");

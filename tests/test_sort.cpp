@@ -1,6 +1,7 @@
 // Tests for the sorting substrate: OCS-RMA bucket sort, baselines, PARADIS
-// in-place radix sort and PSRS global sort.  Heavy use of parameterized
-// property tests: permutations preserved, bucket/order invariants hold.
+// in-place radix sort, the LSD block radix sort and PSRS global sort.
+// Heavy use of parameterized property tests: permutations preserved,
+// bucket/order invariants hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "sim/runtime.hpp"
 #include "sort/bucket_baselines.hpp"
+#include "sort/lsd_radix.hpp"
 #include "sort/ocs_rma.hpp"
 #include "sort/paradis.hpp"
 #include "sort/psrs.hpp"
@@ -195,9 +197,10 @@ TEST(Paradis, StructWithKeyFunction) {
     e.src = uint32_t(rng.next_below(1000));
     e.dst = uint32_t(rng.next_below(1000));
   }
-  paradis_sort(std::span(edges), [](const Edge& e) {
-    return (uint64_t(e.src) << 32) | e.dst;
-  });
+  paradis_sort(
+      std::span(edges),
+      [](const Edge& e) { return (uint64_t(e.src) << 32) | e.dst; },
+      ThreadPool::global());
   for (size_t i = 1; i < edges.size(); ++i) {
     uint64_t a = (uint64_t(edges[i - 1].src) << 32) | edges[i - 1].dst;
     uint64_t b = (uint64_t(edges[i].src) << 32) | edges[i].dst;
@@ -212,6 +215,44 @@ TEST(Paradis, FullWidthKeys) {
   std::sort(expected.begin(), expected.end());
   paradis_sort_u64(std::span(v));
   EXPECT_EQ(v, expected);
+}
+
+// ------------------------------------------------------------- LSD radix
+
+// The LSD passes must be a *stable* sort on the low `bits` bits: equal
+// values keep their input order, whatever the width (0 and 64 included) and
+// whether a digit is shared by every element (skipped pass).
+TEST(LsdRadix, StableOnTheLowBits) {
+  struct Rec {
+    uint64_t value;
+    uint32_t index;
+  };
+  for (int bits : {0, 1, 11, 12, 23, 33, 64}) {
+    for (uint64_t shared_high : {0ull, 1ull}) {
+      Xoshiro256StarStar rng(uint64_t(bits) * 7 + shared_high);
+      std::vector<Rec> v(5000);
+      for (uint32_t i = 0; i < v.size(); ++i) {
+        uint64_t x = bits == 64 ? rng.next()
+                                : rng.next() & ((uint64_t(1) << bits) - 1);
+        // Few distinct values so stability is observable; optionally force
+        // the top digit to one shared value.
+        x &= ~uint64_t(0) << (bits > 4 ? bits - 4 : 0);
+        if (shared_high && bits > 0) x |= uint64_t(1) << (bits - 1);
+        v[i] = Rec{x, i};
+      }
+      auto want = v;
+      std::stable_sort(
+          want.begin(), want.end(),
+          [](const Rec& a, const Rec& b) { return a.value < b.value; });
+      std::vector<Rec> scratch(v.size());
+      lsd_radix_sort(std::span<Rec>(v), std::span<Rec>(scratch),
+                     [](const Rec& r) { return r.value; }, bits);
+      for (size_t i = 0; i < v.size(); ++i) {
+        ASSERT_EQ(v[i].value, want[i].value) << bits << " bits at " << i;
+        ASSERT_EQ(v[i].index, want[i].index) << bits << " bits at " << i;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ PSRS
@@ -234,8 +275,10 @@ TEST_P(PsrsTest, GloballySortedAndPermutation) {
   }
   std::vector<std::vector<uint64_t>> outputs(static_cast<size_t>(p));
   sim::run_spmd(sim::MeshShape{c.rows, c.cols}, [&](sim::RankContext& ctx) {
+    ThreadPool pool(2);
     outputs[size_t(ctx.rank)] = psrs_sort(
-        ctx.world, inputs[size_t(ctx.rank)], [](uint64_t v) { return v; });
+        ctx.world, inputs[size_t(ctx.rank)], [](uint64_t v) { return v; },
+        pool);
   });
   // Each rank locally sorted; concatenation globally sorted; permutation.
   std::multiset<uint64_t> seen;
@@ -263,8 +306,9 @@ TEST(Psrs, BalanceIsReasonableOnUniformKeys) {
   for (int r = 0; r < p; ++r) inputs[size_t(r)] = random_keys(10000, 7 + r);
   std::vector<size_t> sizes(p);
   sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
+    ThreadPool pool(2);
     auto out = psrs_sort(ctx.world, inputs[size_t(ctx.rank)],
-                         [](uint64_t v) { return v; });
+                         [](uint64_t v) { return v; }, pool);
     sizes[size_t(ctx.rank)] = out.size();
   });
   size_t total = 0;
@@ -283,8 +327,9 @@ TEST(Psrs, DuplicateHeavyKeys) {
   for (int r = 0; r < p; ++r) inputs[size_t(r)] = random_keys(5000, r + 1, 5);
   std::vector<std::vector<uint64_t>> outputs(p);
   sim::run_spmd(sim::MeshShape{1, 4}, [&](sim::RankContext& ctx) {
+    ThreadPool pool(2);
     outputs[size_t(ctx.rank)] = psrs_sort(ctx.world, inputs[size_t(ctx.rank)],
-                                          [](uint64_t v) { return v; });
+                                          [](uint64_t v) { return v; }, pool);
   });
   uint64_t prev = 0;
   size_t total = 0;
@@ -306,8 +351,9 @@ TEST(Psrs, AllEqualKeysDegenerateSplitters) {
   for (auto& in : inputs) in.assign(3000, 42);
   size_t total = 0;
   sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
+    ThreadPool pool(2);
     auto out = psrs_sort(ctx.world, inputs[size_t(ctx.rank)],
-                         [](uint64_t v) { return v; });
+                         [](uint64_t v) { return v; }, pool);
     uint64_t n = ctx.world.allreduce_sum(uint64_t(out.size()));
     if (ctx.rank == 0) total = n;
     for (uint64_t v : out) ASSERT_EQ(v, 42u);

@@ -184,9 +184,10 @@ TEST(PsrsStress, StructPayloadsAcrossMesh) {
   }
   std::vector<std::vector<Rec>> outputs(p);
   sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
+    ThreadPool pool(2);
     outputs[size_t(ctx.rank)] = sort::psrs_sort(
-        ctx.world, inputs[size_t(ctx.rank)],
-        [](const Rec& r) { return r.key; });
+        ctx.world, inputs[size_t(ctx.rank)], [](const Rec& r) { return r.key; },
+        pool);
   });
   uint64_t prev = 0;
   size_t total = 0;

@@ -4,6 +4,7 @@
 Usage:
 
     python3 tools/bench_compare.py old.json new.json [--max-regress PCT]
+                                   [--exact SUBSTR ...]
 
 `old.json` / `new.json` are the BENCH_*.json files the bench binaries write
 (e.g. bench_headline_graph500 -> BENCH_headline.json).  The comparison runs
@@ -12,8 +13,12 @@ one side are reported as warnings, not errors, so a bench that grows or
 drops a metric (a new load point, say) still compares cleanly against older
 baselines.  A metric regresses when it moves in its bad direction (lower
 GTEPS/QPS, higher latency, wall/modeled time or peak RSS) by more than
---max-regress percent (default 10).  Exit status: 0 when no shared metric
-regresses, 1 on regression, 2 on malformed input or an empty intersection.
+--max-regress percent (default 10).  `--exact SUBSTR` (repeatable) pins
+every shared metric whose key contains SUBSTR to its baseline value: any
+change, in either direction, fails — for deterministic counts such as wire
+bytes, where a move is a real change rather than noise.  Exit status: 0 when
+no shared metric regresses or changes, 1 on a regression or exact-key change,
+2 on malformed input or an empty intersection.
 Stdlib only (tools/test_bench_compare.py covers the contract).
 """
 
@@ -83,6 +88,9 @@ def main() -> int:
     ap.add_argument("--max-regress", type=float, default=10.0, metavar="PCT",
                     help="allowed movement in the bad direction, percent "
                          "(default: 10)")
+    ap.add_argument("--exact", action="append", default=[], metavar="SUBSTR",
+                    help="fail on any change of a metric whose key contains "
+                         "SUBSTR (repeatable)")
     args = ap.parse_args()
 
     try:
@@ -109,14 +117,18 @@ def main() -> int:
         print("bench_compare: no metrics in common", file=sys.stderr)
         return 2
 
-    failed = []
+    failed, changed = [], []
     print(f"{'metric':<18} {'old':>14} {'new':>14} {'worse by':>10}")
     for key in shared:
         old_v, new_v = float(old_m[key]), float(new_m[key])
         pct = regression_pct(key, old_v, new_v)
         allowed = args.max_regress * tolerance_multiplier(key)
         verdict = ""
-        if pct > allowed:
+        if any(s in key for s in args.exact):
+            if new_v != old_v:
+                changed.append(key)
+                verdict = "  CHANGED (exact)"
+        elif pct > allowed:
             failed.append(key)
             verdict = "  REGRESSED"
         print(f"{key:<18} {old_v:>14.6g} {new_v:>14.6g} {pct:>+9.1f}%{verdict}")
@@ -124,9 +136,14 @@ def main() -> int:
     if failed:
         print(f"bench_compare: REGRESSION in {', '.join(failed)} "
               f"(> {args.max_regress:.1f}% worse)", file=sys.stderr)
+    if changed:
+        print(f"bench_compare: exact metric CHANGED in {', '.join(changed)}",
+              file=sys.stderr)
+    if failed or changed:
         return 1
     print(f"bench_compare: OK (no shared metric more than "
-          f"{args.max_regress:.1f}% worse)")
+          f"{args.max_regress:.1f}% worse"
+          f"{', exact metrics unchanged' if args.exact else ''})")
     return 0
 
 

@@ -4,8 +4,9 @@ directly: `python3 tools/test_bench_compare.py`).
 
 The contract under test: comparison runs over the intersection of the two
 metrics objects (asymmetric keys warn, they do not error), "qps"/"gteps"
-metrics are higher-is-better, regressions past --max-regress exit 1, and
-malformed input or an empty intersection exits 2.
+metrics are higher-is-better, regressions past --max-regress exit 1, any
+change of an --exact key exits 1, and malformed input or an empty
+intersection exits 2.
 """
 
 import io
@@ -179,6 +180,34 @@ class BenchCompareTest(unittest.TestCase):
         code, _, _ = run_compare(doc({"alltoallv_reduction_pct": 50.0}),
                                  doc({"alltoallv_reduction_pct": 60.0}))
         self.assertEqual(code, 0)
+
+    def test_exact_keys_fail_on_any_change_in_either_direction(self):
+        # A 1-byte shrink passes the band but fails the exact gate, and so
+        # does a 1-byte growth; keys without the substring keep the band.
+        old = doc({"alltoallv_bytes": 100000.0, "reduction_pct": 50.0})
+        for moved in (99999.0, 100001.0):
+            new = doc({"alltoallv_bytes": moved, "reduction_pct": 50.0})
+            code, out, err = run_compare(old, new, "--max-regress", "5",
+                                         "--exact", "bytes")
+            self.assertEqual(code, 1)
+            self.assertIn("CHANGED", out)
+            self.assertIn("alltoallv_bytes", err)
+            code, _, _ = run_compare(old, new, "--max-regress", "5")
+            self.assertEqual(code, 0)
+        new = doc({"alltoallv_bytes": 100000.0, "reduction_pct": 51.0})
+        code, out, _ = run_compare(old, new, "--exact", "bytes")
+        self.assertEqual(code, 0)
+        self.assertIn("exact metrics unchanged", out)
+
+    def test_exact_is_repeatable(self):
+        old = doc({"alltoallv_bytes": 10.0, "rounds_path": 7.0, "wall_s": 1.0})
+        new = doc({"alltoallv_bytes": 10.0, "rounds_path": 6.0, "wall_s": 1.0})
+        code, _, _ = run_compare(old, new, "--exact", "bytes")
+        self.assertEqual(code, 0)  # a fewer-rounds improvement passes the band
+        code, _, err = run_compare(old, new, "--exact", "bytes",
+                                   "--exact", "rounds")
+        self.assertEqual(code, 1)
+        self.assertIn("rounds_path", err)
 
 
 if __name__ == "__main__":
