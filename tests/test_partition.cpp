@@ -3,6 +3,7 @@
 // (edge conservation + placement rules) and the vanilla 1D baseline.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 
@@ -413,6 +414,60 @@ TEST(Part15d, ArcSortPoolSizeLeavesPartitionAndParentsIdentical) {
   const std::vector<Dump> serial = build(0);  // null pool: calling thread
   for (size_t threads : {1, 2, 4})
     EXPECT_EQ(build(threads), serial) << threads << " threads per rank";
+}
+
+// Golden partition: an FNV-1a digest over every rank's degrees, 1D CSR and
+// 1.5D CSR arrays (offsets and values, rank order), plus the world
+// alltoallv calls and bytes of compute_local_degrees + build_1d +
+// build_15d.  Received order fixes the CSR neighbour order, so a change to
+// how preprocessing stages its exchanges shows up as a literal diff here.
+std::string partition_golden(sim::MeshShape mesh) {
+  Graph500Config cfg;
+  cfg.scale = 12;
+  cfg.seed = 5;
+  VertexSpace space{cfg.num_vertices(), mesh.ranks()};
+  using Dump = std::vector<std::vector<int64_t>>;
+  std::vector<Dump> dumps(size_t(mesh.ranks()));
+  sim::SpmdReport rep = sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
+    auto deg = compute_local_degrees(ctx, space, slice);
+    Part1d p1 = build_1d(ctx, space, slice);
+    Part15d p15 = build_15d(ctx, space, slice, deg, {128, 32});
+    Dump& d = dumps[size_t(ctx.rank)];
+    d.emplace_back(deg.begin(), deg.end());
+    for (const graph::Csr* c :
+         {&p1.adj, &p15.eh2eh, &p15.eh2eh_rev, &p15.e2l, &p15.l2e, &p15.h2l,
+          &p15.h2l_by_l, &p15.l2h, &p15.l2l}) {
+      d.emplace_back(c->offsets().begin(), c->offsets().end());
+      d.emplace_back(c->values().begin(), c->values().end());
+    }
+  });
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Dump& d : dumps)
+    for (const auto& arr : d) {
+      mix(arr.size());
+      for (int64_t x : arr) mix(uint64_t(x));
+    }
+  const sim::CommStats total = rep.aggregate();
+  const sim::CollectiveEntry& a2a = total.entry(sim::CollectiveType::Alltoallv);
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "calls=%llu bytes=%llu digest=%016llx",
+                (unsigned long long)a2a.calls,
+                (unsigned long long)a2a.bytes_sent, (unsigned long long)h);
+  return buf;
+}
+
+TEST(PartitionGolden, DigestAndPreprocessingBytesArePinned) {
+  EXPECT_EQ(partition_golden({2, 2}),
+            "calls=12 bytes=3114128 digest=ef78bf58d80d64e1");
+  EXPECT_EQ(partition_golden({2, 3}),
+            "calls=18 bytes=3507968 digest=289dd2b744c02894");
 }
 
 TEST(Subgraph, NamesAreStable) {
