@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "analytics/propagate.hpp"
 #include "graph/csr.hpp"
 #include "support/check.hpp"
 
@@ -13,109 +14,32 @@ std::vector<double> pagerank15d(sim::RankContext& ctx,
                                 const partition::Part15d& part,
                                 std::span<const uint64_t> local_degrees,
                                 const PageRankOptions& options) {
-  const partition::EhlTable& cls = part.cls;
-  const uint64_t k = cls.num_eh();
   const uint64_t nloc = part.local_count;
   const double n = double(part.space.total);
   SUNBFS_CHECK(local_degrees.size() == nloc);
 
-  // Replicated EH ranks; owned L ranks (entries of EH-owned locals unused).
-  std::vector<double> eh_rank(k, 1.0 / n);
-  std::vector<double> l_rank(nloc, 1.0 / n);
-
-  struct RankMsg {
-    Vertex dst;
-    double contribution;
-  };
-
+  PropagationEngine<PageRankProgram> engine(
+      ctx, part,
+      PageRankProgram{&part, ctx.rank, local_degrees, options.damping});
+  engine.initialize([n](Vertex) { return 1.0 / n; });
+  std::vector<double> rank = engine.owned_values();
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Out-contributions.
-    auto c_eh = [&](uint64_t e) {
-      return eh_rank[e] / double(cls.eh_degree(e));  // EH degree >= h > 0
-    };
-    auto c_l = [&](uint64_t l) {
-      return local_degrees[l] > 0 ? l_rank[l] / double(local_degrees[l]) : 0.0;
-    };
-
-    // Dangling mass (degree-0 vertices are always L).
     double dangling_local = 0;
     for (uint64_t l = 0; l < nloc; ++l)
-      if (local_degrees[l] == 0 && !part.local_is_eh.get(l))
-        dangling_local += l_rank[l];
-    double dangling = ctx.world.allreduce_sum(dangling_local);
+      if (local_degrees[l] == 0) dangling_local += rank[l];
+    const double dangling = ctx.world.allreduce_sum(dangling_local);
+    engine.program().base =
+        (1.0 - options.damping) / n + options.damping * dangling / n;
+    engine.step();
 
-    // --- accumulate into EH ---------------------------------------------
-    std::vector<double> acc_eh(k, 0.0);
-    for (uint64_t x = 0; x < part.eh2eh.num_rows(); ++x) {
-      if (part.eh2eh.degree(x) == 0) continue;
-      double c = c_eh(x);
-      for (Vertex y : part.eh2eh.neighbors(x)) acc_eh[size_t(y)] += c;
-    }
-    for (uint64_t l = 0; l < nloc; ++l) {
-      double c = c_l(l);
-      if (c == 0) continue;
-      for (Vertex e : part.l2e.neighbors(l)) acc_eh[size_t(e)] += c;
-      for (Vertex h : part.l2h.neighbors(l)) acc_eh[size_t(h)] += c;
-    }
-    if (k > 0) {
-      auto add = [](double a, double b) { return a + b; };
-      ctx.col.allreduce_inplace(std::span<double>(acc_eh), add);
-      ctx.row.allreduce_inplace(std::span<double>(acc_eh), add);
-    }
-
-    // --- accumulate into L ------------------------------------------------
-    std::vector<double> acc_l(nloc, 0.0);
-    for (uint64_t l = 0; l < nloc; ++l) {
-      double sum = 0;
-      for (Vertex e : part.l2e.neighbors(l)) sum += c_eh(uint64_t(e));
-      for (Vertex h : part.l2h.neighbors(l)) sum += c_eh(uint64_t(h));
-      acc_l[l] = sum;
-    }
-    std::vector<std::vector<RankMsg>> to(size_t(ctx.nranks()));
-    for (uint64_t l = 0; l < nloc; ++l) {
-      double c = c_l(l);
-      if (c == 0) continue;
-      for (Vertex l2 : part.l2l.neighbors(l)) {
-        int owner = part.space.owner(l2);
-        if (owner == ctx.rank)
-          acc_l[part.space.to_local(owner, l2)] += c;
-        else
-          to[size_t(owner)].push_back(RankMsg{l2, c});
-      }
-    }
-    auto got = ctx.world.alltoallv(to);
-    for (const RankMsg& m : got)
-      acc_l[part.space.to_local(ctx.rank, m.dst)] += m.contribution;
-
-    // --- update -----------------------------------------------------------
-    const double base = (1.0 - options.damping) / n +
-                        options.damping * dangling / n;
+    std::vector<double> next = engine.owned_values();
     double delta_local = 0;
-    for (uint64_t i = 0; i < k; ++i) {
-      double next = base + options.damping * acc_eh[i];
-      // Every rank computes the identical value; only the owner of the
-      // original vertex counts the delta.
-      if (part.space.owner(cls.eh_to_global(i)) == ctx.rank)
-        delta_local += std::abs(next - eh_rank[i]);
-      eh_rank[i] = next;
-    }
-    for (uint64_t l = 0; l < nloc; ++l) {
-      if (part.local_is_eh.get(l)) continue;
-      double next = base + options.damping * acc_l[l];
-      delta_local += std::abs(next - l_rank[l]);
-      l_rank[l] = next;
-    }
-    double delta = ctx.world.allreduce_sum(delta_local);
-    if (delta < options.tolerance) break;
+    for (uint64_t l = 0; l < nloc; ++l)
+      delta_local += std::abs(next[l] - rank[l]);
+    rank = std::move(next);
+    if (ctx.world.allreduce_sum(delta_local) < options.tolerance) break;
   }
-
-  std::vector<double> out(nloc);
-  for (uint64_t l = 0; l < nloc; ++l) {
-    Vertex g = part.space.to_global(ctx.rank, l);
-    uint64_t eh = cls.eh_of(g);
-    out[l] = eh == partition::EhlTable::kNotEh ? l_rank[l] : eh_rank[eh];
-  }
-  return out;
+  return rank;
 }
 
 std::vector<double> reference_pagerank(uint64_t num_vertices,

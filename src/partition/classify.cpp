@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/check.hpp"
+#include "support/prefix.hpp"
 
 namespace sunbfs::partition {
 
@@ -45,13 +46,17 @@ std::vector<uint64_t> compute_local_degrees(
     agg[size_t(space.owner(e.u))][e.u]++;
     agg[size_t(space.owner(e.v))][e.v]++;
   }
-  std::vector<std::vector<VertexCount>> to(static_cast<size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    to[size_t(d)].reserve(agg[size_t(d)].size());
-    for (const auto& [v, c] : agg[size_t(d)])
-      to[size_t(d)].push_back(VertexCount{v, c});
-  }
-  std::vector<VertexCount> got = ctx.world.alltoallv(to);
+  // Flatten the maps in owner order: block d is agg[d]'s pairs.
+  std::vector<uint64_t> count(static_cast<size_t>(p));
+  for (int d = 0; d < p; ++d) count[size_t(d)] = agg[size_t(d)].size();
+  std::vector<uint64_t> off = offsets_from_counts(count);
+  std::vector<VertexCount> send;
+  send.reserve(off.back());
+  for (int d = 0; d < p; ++d)
+    for (const auto& [v, c] : agg[size_t(d)]) send.push_back(VertexCount{v, c});
+  std::vector<VertexCount> got;
+  ctx.world.alltoallv_flat(std::span<const VertexCount>(send),
+                           std::span<const uint64_t>(off), got);
 
   std::vector<uint64_t> degrees(space.count(ctx.rank), 0);
   for (const auto& vc : got)

@@ -4,6 +4,7 @@
 
 #include "sort/paradis.hpp"
 #include "support/check.hpp"
+#include "support/prefix.hpp"
 
 namespace sunbfs::partition {
 
@@ -65,44 +66,53 @@ Part15d build_15d(sim::RankContext& ctx, const VertexSpace& space,
     return part.eh_space.owner(graph::Vertex(eh_id));
   };
 
-  // Route every arc of every component to its storing rank.
-  std::vector<std::vector<ArcMsg>> to(size_t(mesh.ranks()));
-  auto send_eh2eh = [&](uint64_t x, uint64_t y) {
-    int dest = mesh.rank_of(mesh.row_of(eh_rank(y)), mesh.col_of(eh_rank(x)));
-    to[size_t(dest)].push_back(make_arc(kEh2Eh, x, int64_t(y)));
-  };
-  for (const graph::Edge& e : slice) {
-    uint64_t ka = cls.eh_of(e.u);
-    uint64_t kb = cls.eh_of(e.v);
-    bool a_eh = ka != EhlTable::kNotEh;
-    bool b_eh = kb != EhlTable::kNotEh;
-    if (a_eh && b_eh) {
-      // Both orientations, self loops twice (adjacency-matrix convention,
-      // matching Csr::from_undirected).
-      send_eh2eh(ka, kb);
-      send_eh2eh(kb, ka);
-    } else if (a_eh || b_eh) {
-      uint64_t k = a_eh ? ka : kb;
-      graph::Vertex l = a_eh ? e.v : e.u;
-      int lo = space.owner(l);
-      if (cls.is_e(k)) {
-        to[size_t(lo)].push_back(make_arc(kEl, k, l));
+  // Route every arc of every component to its storing rank.  The routing
+  // runs twice — once to count each destination's arcs, once to fill its
+  // block in the same order — so the send buffer is one exact allocation.
+  auto route = [&](auto&& emit) {
+    auto send_eh2eh = [&](uint64_t x, uint64_t y) {
+      emit(mesh.rank_of(mesh.row_of(eh_rank(y)), mesh.col_of(eh_rank(x))),
+           make_arc(kEh2Eh, x, int64_t(y)));
+    };
+    for (const graph::Edge& e : slice) {
+      uint64_t ka = cls.eh_of(e.u);
+      uint64_t kb = cls.eh_of(e.v);
+      bool a_eh = ka != EhlTable::kNotEh;
+      bool b_eh = kb != EhlTable::kNotEh;
+      if (a_eh && b_eh) {
+        // Both orientations, self loops twice (adjacency-matrix convention,
+        // matching Csr::from_undirected).
+        send_eh2eh(ka, kb);
+        send_eh2eh(kb, ka);
+      } else if (a_eh || b_eh) {
+        uint64_t k = a_eh ? ka : kb;
+        graph::Vertex l = a_eh ? e.v : e.u;
+        int lo = space.owner(l);
+        if (cls.is_e(k)) {
+          emit(lo, make_arc(kEl, k, l));
+        } else {
+          emit(mesh.rank_of(mesh.row_of(lo), mesh.col_of(eh_rank(k))),
+               make_arc(kHl, k, l));
+          emit(lo, make_arc(kLh, k, l));
+        }
       } else {
-        int hl_rank = mesh.rank_of(mesh.row_of(lo), mesh.col_of(eh_rank(k)));
-        to[size_t(hl_rank)].push_back(make_arc(kHl, k, l));
-        to[size_t(lo)].push_back(make_arc(kLh, k, l));
+        emit(space.owner(e.u), make_arc(kLl, uint64_t(e.u), e.v));
+        emit(space.owner(e.v), make_arc(kLl, uint64_t(e.v), e.u));
       }
-    } else {
-      to[size_t(space.owner(e.u))].push_back(
-          make_arc(kLl, uint64_t(e.u), e.v));
-      to[size_t(space.owner(e.v))].push_back(
-          make_arc(kLl, uint64_t(e.v), e.u));
     }
-  }
+  };
+  std::vector<uint64_t> count(size_t(mesh.ranks()), 0);
+  route([&](int dest, const ArcMsg&) { ++count[size_t(dest)]; });
+  std::vector<uint64_t> off = offsets_from_counts(count);
+  std::vector<uint64_t> next(off.begin(), off.end() - 1);
+  std::vector<ArcMsg> send(off.back());
+  route([&](int dest, const ArcMsg& m) { send[next[size_t(dest)]++] = m; });
 
-  std::vector<ArcMsg> arcs = ctx.world.alltoallv(to);
-  to.clear();
-  to.shrink_to_fit();
+  std::vector<ArcMsg> arcs;
+  ctx.world.alltoallv_flat(std::span<const ArcMsg>(send),
+                           std::span<const uint64_t>(off), arcs);
+  send.clear();
+  send.shrink_to_fit();
 
   // Unified sort-based construction (the paper's in-place global sort idea,
   // applied node-locally with PARADIS): order by (kind, a) so each

@@ -345,33 +345,16 @@ class Comm {
            topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
   }
 
-  /// Personalized all-to-all: `to[d]` is the message for participant d; the
-  /// result is the concatenation of messages addressed to the caller in
-  /// source-rank order.  If `src_offsets` is non-null it receives size()+1
-  /// entries delimiting each source's data in the result.  Dropped messages
-  /// appear empty.
-  template <typename T>
-  std::vector<T> alltoallv(const std::vector<std::vector<T>>& to,
-                           std::vector<size_t>* src_offsets = nullptr) {
-    SUNBFS_CHECK(int(to.size()) == size());
-    std::vector<T> out;
-    alltoallv_core<T>(
-        [&](int d) -> std::pair<const void*, uint64_t> {
-          return {to[size_t(d)].data(), to[size_t(d)].size() * sizeof(T)};
-        },
-        out, src_offsets, nullptr);
-    return out;
-  }
-
-  /// Allocation-free personalized all-to-all over a flat, pre-staged send
-  /// buffer: `send` holds the messages for all destinations back-to-back and
-  /// `elem_offsets` (size()+1 entries, in elements) delimits destination d's
-  /// span as [elem_offsets[d], elem_offsets[d+1]).  The received
-  /// concatenation is written into `out`, reusing its capacity across calls;
-  /// `grow_allocs` (when non-null) is incremented iff this call had to grow
-  /// `out` — the steady-state allocation proof behind comm.staging_allocs.
-  /// Fault injection, checksums and byte/imbalance accounting are identical
-  /// to the vector-of-vectors overload (both run the same core).
+  /// Personalized all-to-all over a flat, pre-staged send buffer — the only
+  /// alltoallv front-end.  `send` holds the messages for all destinations
+  /// back-to-back and `elem_offsets` (size()+1 entries, in elements)
+  /// delimits destination d's span as [elem_offsets[d], elem_offsets[d+1]).
+  /// The received concatenation, in source-rank order, is written into
+  /// `out`, reusing its capacity across calls; if `src_offsets` is non-null
+  /// it receives size()+1 entries delimiting each source's data in `out`.
+  /// Dropped messages appear empty.  `grow_allocs` (when non-null) is
+  /// incremented iff this call had to grow `out` — the steady-state
+  /// allocation proof behind comm.staging_allocs.
   template <typename T>
   void alltoallv_flat(std::span<const T> send,
                       std::span<const uint64_t> elem_offsets,
@@ -441,7 +424,7 @@ class Comm {
   /// (capacity reused; growth counted into `grow_allocs` when non-null).
   /// This single core carries the fault-injection surface (straggler +
   /// payload corruption + checksum verification) and the byte/imbalance
-  /// accounting for every staging flavour.
+  /// accounting behind alltoallv_flat.
   template <typename T, typename PartFn>
   void alltoallv_core(PartFn&& part, std::vector<T>& out,
                       std::vector<size_t>* src_offsets,

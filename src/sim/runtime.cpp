@@ -6,6 +6,7 @@
 #include "obs/trace.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
+#include "support/thread_pool.hpp"
 
 namespace sunbfs::sim {
 
@@ -20,7 +21,7 @@ SpmdReport run_spmd(const Topology& topology,
   // Barrier waiters spin before parking only when every rank thread can
   // have a core of its own; oversubscribed, a spinner steals the core the
   // rank it waits for needs.
-  const bool spin = nranks <= int(std::thread::hardware_concurrency());
+  const bool spin = size_t(nranks) <= usable_cpus();
   std::vector<int> world_ranks(nranks);
   for (int r = 0; r < nranks; ++r) world_ranks[r] = r;
   CommShared world_shared(world_ranks, &topology, spin);

@@ -58,31 +58,25 @@ std::vector<T> psrs_sort(sim::Comm& comm, std::vector<T> local, KeyFn key_of,
     }
   }
 
-  // Partition the locally sorted run by the pivots.
-  std::vector<std::vector<T>> to(static_cast<size_t>(p));
-  size_t start = 0;
-  for (int d = 0; d < p; ++d) {
-    size_t end = local.size();
-    if (d + 1 < p && size_t(d) < pivots.size()) {
-      uint64_t piv = pivots[size_t(d)];
-      // First index with key > piv (elements equal to a pivot stay left).
-      auto it = std::upper_bound(
-          local.begin() + long(start), local.end(), piv,
-          [&](uint64_t k, const T& v) { return k < uint64_t(key_of(v)); });
-      end = size_t(it - local.begin());
-    }
-    to[size_t(d)].assign(local.begin() + long(start), local.begin() + long(end));
-    start = end;
+  // The pivots cut the locally sorted run into p destination blocks, sent
+  // in place: off[d] is the first index with key > pivots[d-1] (elements
+  // equal to a pivot stay left).
+  std::vector<uint64_t> off(size_t(p) + 1, local.size());
+  off[0] = 0;
+  for (int d = 1; d < p && size_t(d) <= pivots.size(); ++d) {
+    uint64_t piv = pivots[size_t(d) - 1];
+    auto it = std::upper_bound(
+        local.begin() + long(off[size_t(d) - 1]), local.end(), piv,
+        [&](uint64_t k, const T& v) { return k < uint64_t(key_of(v)); });
+    off[size_t(d)] = uint64_t(it - local.begin());
   }
-  SUNBFS_CHECK(start == local.size());
-  local.clear();
-  local.shrink_to_fit();
 
   // Exchange and merge the received sorted runs.
-  std::vector<size_t> src_off;
-  std::vector<T> received = comm.alltoallv(to, &src_off);
-  to.clear();
-  to.shrink_to_fit();
+  std::vector<T> received;
+  comm.alltoallv_flat(std::span<const T>(local), std::span<const uint64_t>(off),
+                      received);
+  local.clear();
+  local.shrink_to_fit();
   // The p runs are each sorted; a final sort is O(n log p)-ish via PARADIS.
   paradis_sort(std::span<T>(received), key_of, pool);
   return received;

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/check.hpp"
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 
 namespace sunbfs {
 
@@ -23,8 +26,7 @@ struct CurrentPoolScope {
 }  // namespace
 
 ThreadPool::ThreadPool(size_t threads) {
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
+  if (threads == 0) threads = usable_cpus();
   // The caller participates in every batch, so spawn threads-1 workers.
   for (size_t i = 0; i + 1 < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -159,14 +161,20 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+size_t usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0)
+    return size_t(CPU_COUNT(&set));
+#endif
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
 size_t resolve_threads_per_rank(int requested, size_t nranks) {
   if (nranks == 0) nranks = 1;
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  size_t threads = requested > 0 ? size_t(requested)
-                                 : std::max<size_t>(1, hw / nranks);
-  SUNBFS_ASSERT(nranks * threads <= 2 * hw);
-  return threads;
+  return requested > 0 ? size_t(requested)
+                       : std::max<size_t>(1, usable_cpus() / nranks);
 }
 
 }  // namespace sunbfs

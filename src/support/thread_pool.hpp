@@ -35,9 +35,8 @@ namespace sunbfs {
 ///    parallelism.
 class ThreadPool {
  public:
-  /// Create a pool with `threads` workers.  0 means
-  /// std::thread::hardware_concurrency().  A pool of size <= 1 executes
-  /// everything inline on the caller thread.
+  /// Create a pool with `threads` workers.  0 means usable_cpus().  A pool
+  /// of size <= 1 executes everything inline on the caller thread.
   explicit ThreadPool(size_t threads = 0);
   ~ThreadPool();
 
@@ -81,11 +80,16 @@ class ThreadPool {
   size_t error_chunk_ = 0;
 };
 
+/// CPUs the calling thread may run on: the size of its affinity mask, so a
+/// pinned run (taskset, cgroup cpusets) sees its own share, falling back
+/// to std::thread::hardware_concurrency() (at least 1).
+size_t usable_cpus();
+
 /// Resolve the intra-rank worker-thread count for one rank of an nranks-wide
-/// SPMD run.  `requested` <= 0 means auto: hardware_concurrency / nranks,
-/// floored at 1, so rank-threads x workers never oversubscribe the host by
-/// default.  Debug builds assert the explicit-knob total stays within 2x the
-/// hardware (tests may deliberately oversubscribe a little on small hosts).
+/// SPMD run.  `requested` <= 0 means auto: usable_cpus() / nranks, floored
+/// at 1, so rank-threads x workers never oversubscribe the host by default.
+/// Explicit requests pass through unchanged: oversubscription is a
+/// supported configuration (e.g. tpr=4 sweeps on small hosts).
 size_t resolve_threads_per_rank(int requested, size_t nranks);
 
 }  // namespace sunbfs

@@ -3,6 +3,7 @@
 // match serial references exactly (CC/SSSP) or within FP tolerance (PR).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -370,6 +371,49 @@ TEST(SsspRunner, BfsAndSsspAgreeOnReachability) {
     ASSERT_EQ(bfs_parent[v] != graph::kNoVertex, dist[v] < kInfDist);
 }
 
+
+// The L1 stop must count every vertex once (E/H vertices are replicated on
+// every rank) so the distributed run stops on the iteration the serial
+// reference stops on.
+TEST(PageRank, ToleranceStopsWhereReferenceStops) {
+  Graph500Config cfg;
+  cfg.scale = 9;
+  cfg.seed = 31;
+  PageRankOptions opts;
+  opts.max_iterations = 100;
+  opts.tolerance = 1e-6;
+  std::vector<double> got;
+  sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
+    auto b = build(ctx, cfg, {64, 16});
+    auto r = pagerank15d(ctx, b.part, b.degrees, opts);
+    auto g = ctx.world.allgatherv(std::span<const double>(r));
+    if (ctx.rank == 0) got = std::move(g);
+  });
+  auto edges = graph::generate_rmat(cfg);
+  auto ref = reference_pagerank(cfg.num_vertices(), edges, opts);
+  ASSERT_EQ(got.size(), ref.size());
+  for (uint64_t v = 0; v < cfg.num_vertices(); ++v)
+    ASSERT_NEAR(got[v], ref[v], 1e-9) << "vertex " << v;
+
+  // The stop is early, and one iteration more or fewer is told apart.
+  auto after = [&](int iterations) {
+    PageRankOptions fixed = opts;
+    fixed.max_iterations = iterations;
+    fixed.tolerance = 0;
+    return reference_pagerank(cfg.num_vertices(), edges, fixed);
+  };
+  auto max_gap = [&](const std::vector<double>& r) {
+    double gap = 0;
+    for (uint64_t v = 0; v < cfg.num_vertices(); ++v)
+      gap = std::max(gap, std::abs(got[v] - r[v]));
+    return gap;
+  };
+  int stop = 1;
+  while (stop < opts.max_iterations && after(stop) != ref) ++stop;
+  ASSERT_LT(stop, opts.max_iterations);
+  EXPECT_GT(max_gap(after(stop - 1)), 1e-9);
+  EXPECT_GT(max_gap(after(stop + 1)), 1e-9);
+}
 
 TEST(PageRank, DampingChangesRanksButNotMass) {
   Graph500Config cfg;

@@ -152,10 +152,12 @@ TEST(FaultDetect, AlltoallvBitFlipDetectedByTargetPeer) {
   plan.add_bitflip(0, CollectiveType::Alltoallv, 0, /*peer=*/2);
   auto report = run_with_plan(
       4, plan, FaultPolicy::Report, [&](RankContext& ctx) {
-        std::vector<std::vector<uint64_t>> to(4);
-        for (int d = 0; d < 4; ++d)
-          to[size_t(d)] = {uint64_t(ctx.rank * 10 + d)};
-        ctx.world.alltoallv(to);
+        std::vector<uint64_t> send;
+        for (int d = 0; d < 4; ++d) send.push_back(uint64_t(ctx.rank * 10 + d));
+        const std::vector<uint64_t> off{0, 1, 2, 3, 4};
+        std::vector<uint64_t> got;
+        ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                                 std::span<const uint64_t>(off), got);
       });
   EXPECT_FALSE(report.ok());
   auto f = report.fault_totals();
@@ -250,10 +252,13 @@ TEST(FaultDetect, TruncationWithoutChecksumsTripsSizeCheck) {
     run_spmd(
         topo,
         [&](RankContext& ctx) {
-          std::vector<std::vector<uint64_t>> to(4);
+          std::vector<uint64_t> send;
           for (int d = 0; d < 4; ++d)
-            to[size_t(d)] = {uint64_t(ctx.rank), uint64_t(d)};
-          ctx.world.alltoallv(to);
+            send.insert(send.end(), {uint64_t(ctx.rank), uint64_t(d)});
+          const std::vector<uint64_t> off{0, 2, 4, 6, 8};
+          std::vector<uint64_t> got;
+          ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                                   std::span<const uint64_t>(off), got);
         },
         opts);
     FAIL() << "truncated payload was accepted";
@@ -339,9 +344,12 @@ TEST(FaultRecover, AlltoallvDropAppearsEmptyOnlyAtTarget) {
   std::array<size_t, 4> received{};
   auto report = run_with_plan(
       4, plan, FaultPolicy::Recover, [&](RankContext& ctx) {
-        std::vector<std::vector<uint64_t>> to(4);
-        for (int d = 0; d < 4; ++d) to[size_t(d)] = {uint64_t(ctx.rank)};
-        received[size_t(ctx.rank)] = ctx.world.alltoallv(to).size();
+        const std::vector<uint64_t> send(4, uint64_t(ctx.rank));
+        const std::vector<uint64_t> off{0, 1, 2, 3, 4};
+        std::vector<uint64_t> got;
+        ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                                 std::span<const uint64_t>(off), got);
+        received[size_t(ctx.rank)] = got.size();
       });
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(received[1], 3u);  // rank 0's corrupted message dropped

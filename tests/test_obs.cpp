@@ -269,9 +269,14 @@ TEST(Metrics, SpmdReportAggregation) {
   // CommStats/FaultStats fold into one Report whose totals equal the
   // aggregate the runtime computed rank-by-rank.
   auto spmd = sim::run_spmd(sim::MeshShape{2, 2}, [](sim::RankContext& ctx) {
-    std::vector<std::vector<uint64_t>> to(size_t(ctx.nranks()));
-    for (int r = 0; r < ctx.nranks(); ++r) to[size_t(r)] = {uint64_t(r), 7};
-    (void)ctx.world.alltoallv(to);
+    std::vector<uint64_t> send, off{0};
+    for (int r = 0; r < ctx.nranks(); ++r) {
+      send.insert(send.end(), {uint64_t(r), 7});
+      off.push_back(send.size());
+    }
+    std::vector<uint64_t> got;
+    ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                             std::span<const uint64_t>(off), got);
     (void)ctx.world.allreduce_sum(uint64_t(1));
   });
   obs::Report rep;

@@ -112,8 +112,16 @@ TEST_P(CollectiveFuzz, AlltoallvMatchesReference) {
         msgs[size_t(s)][size_t(d)].push_back(uint32_t(rng.next()));
     }
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    std::vector<uint32_t> send;
+    std::vector<uint64_t> send_off{0};
+    for (const auto& m : msgs[size_t(ctx.rank)]) {
+      send.insert(send.end(), m.begin(), m.end());
+      send_off.push_back(send.size());
+    }
     std::vector<size_t> off;
-    auto got = ctx.world.alltoallv(msgs[size_t(ctx.rank)], &off);
+    std::vector<uint32_t> got;
+    ctx.world.alltoallv_flat(std::span<const uint32_t>(send),
+                             std::span<const uint64_t>(send_off), got, &off);
     for (int s = 0; s < p; ++s) {
       const auto& want = msgs[size_t(s)][size_t(ctx.rank)];
       ASSERT_EQ(off[size_t(s) + 1] - off[size_t(s)], want.size());

@@ -150,11 +150,16 @@ TEST(Collectives, AlltoallvRoutesMessages) {
   run_spmd(MeshShape{2, 2}, [&](RankContext& ctx) {
     int p = ctx.world.size();
     // Rank s sends (s*10+d) repeated (s+d) times to rank d.
-    std::vector<std::vector<int>> to(p);
-    for (int d = 0; d < p; ++d)
-      to[d].assign(size_t(ctx.rank + d), ctx.rank * 10 + d);
+    std::vector<int> send;
+    std::vector<uint64_t> off{0};
+    for (int d = 0; d < p; ++d) {
+      send.insert(send.end(), size_t(ctx.rank + d), ctx.rank * 10 + d);
+      off.push_back(send.size());
+    }
     std::vector<size_t> src_off;
-    auto got = ctx.world.alltoallv(to, &src_off);
+    std::vector<int> got;
+    ctx.world.alltoallv_flat(std::span<const int>(send),
+                             std::span<const uint64_t>(off), got, &src_off);
     ASSERT_EQ(src_off.size(), size_t(p) + 1);
     for (int s = 0; s < p; ++s) {
       size_t n = src_off[s + 1] - src_off[s];
@@ -167,8 +172,10 @@ TEST(Collectives, AlltoallvRoutesMessages) {
 
 TEST(Collectives, AlltoallvEmptyMessagesOk) {
   run_spmd(MeshShape{1, 3}, [&](RankContext& ctx) {
-    std::vector<std::vector<int>> to(3);
-    auto got = ctx.world.alltoallv(to);
+    const std::vector<uint64_t> off(4, 0);
+    std::vector<int> got;
+    ctx.world.alltoallv_flat(std::span<const int>(),
+                             std::span<const uint64_t>(off), got);
     EXPECT_TRUE(got.empty());
   });
 }
@@ -195,9 +202,15 @@ TEST(Collectives, RowAndColumnCommsAreDisjoint) {
 
 TEST(Stats, BytesAndModeledTimeRecorded) {
   auto report = run_spmd(MeshShape{2, 2}, [&](RankContext& ctx) {
-    std::vector<std::vector<int>> to(4);
-    for (int d = 0; d < 4; ++d) to[d].assign(100, d);
-    ctx.world.alltoallv(to);
+    std::vector<int> send;
+    std::vector<uint64_t> off{0};
+    for (int d = 0; d < 4; ++d) {
+      send.insert(send.end(), 100, d);
+      off.push_back(send.size());
+    }
+    std::vector<int> got;
+    ctx.world.alltoallv_flat(std::span<const int>(send),
+                             std::span<const uint64_t>(off), got);
   });
   const auto& e0 = report.per_rank[0].entry(CollectiveType::Alltoallv);
   EXPECT_EQ(e0.calls, 1u);
@@ -449,12 +462,18 @@ void parity_stress(MeshShape mesh, uint64_t seed, int iters) {
           break;
         }
         case 3: {  // world alltoallv with seeded message lengths
-          std::vector<std::vector<uint64_t>> to{size_t(p)};
-          for (int d = 0; d < p; ++d)
-            to[size_t(d)].assign((mine + uint64_t(d)) % 4,
-                                 mine * 16 + uint64_t(d));
+          std::vector<uint64_t> send;
+          std::vector<uint64_t> send_off{0};
+          for (int d = 0; d < p; ++d) {
+            send.insert(send.end(), (mine + uint64_t(d)) % 4,
+                        mine * 16 + uint64_t(d));
+            send_off.push_back(send.size());
+          }
           std::vector<size_t> off;
-          auto got = ctx.world.alltoallv(to, &off);
+          std::vector<uint64_t> got;
+          ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                                   std::span<const uint64_t>(send_off), got,
+                                   &off);
           for (int s = 0; s < p; ++s) {
             const uint64_t sv = stress_value(seed, s, i);
             check(off[size_t(s) + 1] - off[size_t(s)] ==

@@ -32,9 +32,14 @@ TEST(RuntimeStress, SixtyFourRanksStayCoherent) {
       ASSERT_EQ(row.size(), 8u);
       for (size_t c = 0; c < row.size(); ++c)
         ASSERT_EQ(row[c], ctx.mesh.rank_of(ctx.row_index(), int(c)));
-      std::vector<std::vector<uint16_t>> to(64);
-      to[size_t((ctx.rank + i) % 64)].push_back(uint16_t(ctx.rank));
-      auto got = ctx.world.alltoallv(to);
+      // One message, to rank (rank + i) % 64.
+      const uint16_t send = uint16_t(ctx.rank);
+      std::vector<uint64_t> off(65, 0);
+      for (size_t d = size_t((ctx.rank + i) % 64) + 1; d <= 64; ++d)
+        off[d] = 1;
+      std::vector<uint16_t> got;
+      ctx.world.alltoallv_flat(std::span<const uint16_t>(&send, 1),
+                               std::span<const uint64_t>(off), got);
       ASSERT_EQ(got.size(), 1u);
       ASSERT_EQ(int(got[0]), (ctx.rank - i + 128) % 64);
     }

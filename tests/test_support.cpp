@@ -6,7 +6,13 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "support/bitvector.hpp"
 #include "support/check.hpp"
@@ -312,20 +318,40 @@ TEST(ThreadPool, ConcurrentSubmittersEachRunTheirOwnJob) {
 }
 
 TEST(ThreadPool, ResolveThreadsPerRank) {
-  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-  // Auto (<= 0): hardware concurrency split across ranks, floored at one.
+  const size_t hw = usable_cpus();
+  ASSERT_GE(hw, 1u);
+  // Auto (<= 0): usable CPUs split across ranks, floored at one.
   EXPECT_EQ(resolve_threads_per_rank(0, 1), hw);
-  // Explicit requests pass through.
+  // Explicit requests pass through, oversubscribed or not.
   EXPECT_EQ(resolve_threads_per_rank(2, 1), 2u);
-#ifdef NDEBUG
-  // These combinations can exceed the debug-build 2x oversubscription
-  // assert on very small hosts; exercise them only where SUNBFS_ASSERT is
-  // compiled out.
   EXPECT_EQ(resolve_threads_per_rank(0, 4), std::max<size_t>(1, hw / 4));
   EXPECT_EQ(resolve_threads_per_rank(-3, 2 * hw + 1), 1u);
   EXPECT_EQ(resolve_threads_per_rank(1, 4), 1u);
-#endif
+  EXPECT_EQ(resolve_threads_per_rank(4, 4 * hw), 4u);
 }
+
+#ifdef __linux__
+// A thread pinned to one CPU (taskset, a cpuset) must not be handed one
+// worker per host core.
+TEST(ThreadPool, AutoThreadsFollowTheAffinityMask) {
+  size_t resolved = 0;
+  int pin_error = -1;
+  std::thread pinned([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &set)) ++cpu;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    pin_error = pthread_setaffinity_np(pthread_self(), sizeof set, &set);
+    resolved = resolve_threads_per_rank(0, 1);
+  });
+  pinned.join();
+  ASSERT_EQ(pin_error, 0);
+  EXPECT_EQ(resolved, 1u);
+}
+#endif
 
 // ------------------------------------------------------------------ cli
 
