@@ -7,7 +7,6 @@
 #include "obs/trace.hpp"
 #include "sim/comm.hpp"
 #include "sort/paradis.hpp"
-#include "support/check.hpp"
 
 /// Parallel Sorting by Regular Sampling (Shi & Schaeffer, 1992) across the
 /// SPMD ranks — the paper's "in-place global sort" (§5) used to split and

@@ -7,7 +7,6 @@
 #include <sched.h>
 #endif
 
-
 namespace sunbfs {
 
 namespace {
